@@ -1008,6 +1008,23 @@ impl SweepBackend {
             SweepBackend::Spectral => "spectral",
         }
     }
+
+    /// The backend a request for `self` runs on `floorplan`: `Auto`
+    /// picks spectral for grid-coincident floorplans (see
+    /// [`infer_grid`]) of at least [`SPECTRAL_AUTO_THRESHOLD`] blocks
+    /// and dense otherwise; explicit choices pass through.
+    pub fn resolve(self, floorplan: &Floorplan) -> SweepBackend {
+        match self {
+            SweepBackend::Auto
+                if floorplan.blocks().len() >= SPECTRAL_AUTO_THRESHOLD
+                    && infer_grid(floorplan).is_ok() =>
+            {
+                SweepBackend::Spectral
+            }
+            SweepBackend::Auto => SweepBackend::Dense,
+            explicit => explicit,
+        }
+    }
 }
 
 impl fmt::Display for SweepBackend {
@@ -1376,30 +1393,11 @@ impl SweepEngine {
         Ok(self.spectral.get_or_init(|| built))
     }
 
-    /// The backend [`Self::run`] will actually use: `Auto` resolves to
-    /// spectral for grid-coincident floorplans of at least
-    /// [`SPECTRAL_AUTO_THRESHOLD`] blocks, dense otherwise; explicit
-    /// choices pass through.
+    /// The backend [`Self::run`] will actually use: the configured
+    /// backend [resolved](SweepBackend::resolve) against this engine's
+    /// floorplan.
     pub fn resolved_backend(&self) -> SweepBackend {
-        self.resolve_backend(self.backend)
-    }
-
-    /// [`Self::resolved_backend`] for an arbitrary request — what a
-    /// per-call [`RunOptions::backend`] override resolves to.
-    fn resolve_backend(&self, requested: SweepBackend) -> SweepBackend {
-        match requested {
-            SweepBackend::Auto => {
-                let plan = self.solver.floorplan();
-                if plan.blocks().len() >= SPECTRAL_AUTO_THRESHOLD
-                    && (self.spectral.get().is_some() || infer_grid(plan).is_ok())
-                {
-                    SweepBackend::Spectral
-                } else {
-                    SweepBackend::Dense
-                }
-            }
-            explicit => explicit,
-        }
+        self.backend.resolve(self.solver.floorplan())
     }
 
     /// A ready-made [`ScaledTechPower`] spreading chip-level dynamic and
@@ -1811,7 +1809,7 @@ impl SweepEngine {
         warm: WarmMode<'_>,
     ) -> SweepReport {
         let requested = backend_override.unwrap_or(self.backend);
-        let spectral = match self.resolve_backend(requested) {
+        let spectral = match requested.resolve(self.solver.floorplan()) {
             SweepBackend::Spectral => Some(match self.spectral_operator() {
                 Ok(op) => Arc::clone(op),
                 // lint:allow(panic-freedom) — documented `# Panics` contract; callers needing a typed failure (the fleet) pre-validate with `infer_grid`

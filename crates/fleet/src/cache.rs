@@ -23,13 +23,16 @@
 //!   temperature; the test suite asserts this bitwise).
 
 use ptherm_core::cosim::{
-    operator_fingerprint, propagator_fingerprint, spectral_operator_fingerprint, SpectralGridError,
-    SpectralOperator, SweepReport, ThermalOperator, TransientError, TransientOperator,
+    infer_grid, operator_fingerprint, propagator_fingerprint, spectral_operator_fingerprint,
+    SpectralGridError, SpectralOperator, SweepReport, ThermalOperator, TransientError,
+    TransientOperator,
 };
+use ptherm_core::thermal::capacitance::silicon_block_capacitances;
 use ptherm_core::thermal::map::{map_operator_fingerprint, MapOperator};
 use ptherm_floorplan::Floorplan;
 use ptherm_math::ode::ImplicitScheme;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::convert::Infallible;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -47,25 +50,30 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// One slot: a ready value, or a reservation for an in-flight build.
+/// One slot: a ready value with its note, or a reservation for an
+/// in-flight build.
 #[derive(Debug)]
-struct Entry<V> {
+struct Entry<V, R> {
     /// `None` while the owning worker is still building.
-    value: Option<Arc<V>>,
+    value: Option<(Arc<V>, R)>,
     /// Tick of the last hit (or the insertion), for LRU ordering.
     last_used: u64,
 }
 
 #[derive(Debug)]
-struct Inner<K, V> {
-    map: HashMap<K, Entry<V>>,
+struct Inner<K, V, R> {
+    map: HashMap<K, Entry<V, R>>,
     tick: u64,
 }
 
 /// Bounded single-flight LRU cache (see the [module docs](self)).
+///
+/// Each ready entry carries a note `R` its build recorded next to the
+/// value (the fleet stores rebuild recipes there), so an evicted or
+/// flushed entry drops its note with it.
 #[derive(Debug)]
-pub struct Lru<K, V> {
-    inner: Mutex<Inner<K, V>>,
+pub struct Lru<K, V, R = ()> {
+    inner: Mutex<Inner<K, V, R>>,
     ready: Condvar,
     capacity: usize,
     hits: AtomicU64,
@@ -73,7 +81,7 @@ pub struct Lru<K, V> {
     evictions: AtomicU64,
 }
 
-impl<K: Eq + Hash + Clone, V> Lru<K, V> {
+impl<K: Eq + Hash + Clone, V, R> Lru<K, V, R> {
     /// An empty cache holding at most `capacity` ready entries.
     ///
     /// # Panics
@@ -123,7 +131,7 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner<K, V>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner<K, V, R>> {
         // A builder that panics leaves its reservation behind; recovery
         // below removes it, so the poisoned-lock state itself is benign.
         match self.inner.lock() {
@@ -144,10 +152,23 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
     /// # Errors
     ///
     /// Whatever `build` returns.
-    pub fn get_or_build<E>(
+    pub fn get_or_build<E>(&self, key: K, build: impl FnOnce() -> Result<V, E>) -> Result<Arc<V>, E>
+    where
+        R: Default,
+    {
+        self.get_or_build_noted(key, || build().map(|value| (value, R::default())))
+    }
+
+    /// [`Self::get_or_build`] whose `build` also returns the note stored
+    /// next to the new entry.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `build` returns.
+    pub(crate) fn get_or_build_noted<E>(
         &self,
         key: K,
-        build: impl FnOnce() -> Result<V, E>,
+        build: impl FnOnce() -> Result<(V, R), E>,
     ) -> Result<Arc<V>, E> {
         let mut inner = self.lock();
         loop {
@@ -156,7 +177,7 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
             let probe = {
                 let inner = &mut *inner;
                 match inner.map.get_mut(&key) {
-                    Some(entry) => match entry.value.as_ref().map(Arc::clone) {
+                    Some(entry) => match entry.value.as_ref().map(|(v, _)| Arc::clone(v)) {
                         Some(value) => {
                             inner.tick += 1;
                             entry.last_used = inner.tick;
@@ -197,13 +218,13 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         );
         drop(inner);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let built = BuildGuard::run(self, &key, build)?;
+        let (built, note) = BuildGuard::run(self, &key, build)?;
 
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(entry) = inner.map.get_mut(&key) {
-            entry.value = Some(Arc::clone(&built));
+            entry.value = Some((Arc::clone(&built), note));
             entry.last_used = tick;
         }
         self.evict_over_capacity(&mut inner);
@@ -237,11 +258,23 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         dropped
     }
 
+    /// The notes of every ready entry, with their keys (unordered).
+    pub(crate) fn notes(&self) -> Vec<(K, R)>
+    where
+        R: Clone,
+    {
+        self.lock()
+            .map
+            .iter()
+            .filter_map(|(k, e)| e.value.as_ref().map(|(_, note)| (k.clone(), note.clone())))
+            .collect()
+    }
+
     /// Evicts least-recently-used ready entries until the ready count
     /// respects the capacity. In-flight reservations are never evicted
     /// (their builders are about to insert) and do not count against
     /// the bound.
-    fn evict_over_capacity(&self, inner: &mut Inner<K, V>) {
+    fn evict_over_capacity(&self, inner: &mut Inner<K, V, R>) {
         loop {
             let ready = inner.map.values().filter(|e| e.value.is_some()).count();
             if ready <= self.capacity {
@@ -265,18 +298,18 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
 
 /// Removes a reservation if its build unwinds or errors, so waiters are
 /// released instead of deadlocking on a slot nobody will fill.
-struct BuildGuard<'a, K: Eq + Hash + Clone, V> {
-    cache: &'a Lru<K, V>,
+struct BuildGuard<'a, K: Eq + Hash + Clone, V, R> {
+    cache: &'a Lru<K, V, R>,
     key: &'a K,
     armed: bool,
 }
 
-impl<'a, K: Eq + Hash + Clone, V> BuildGuard<'a, K, V> {
+impl<'a, K: Eq + Hash + Clone, V, R> BuildGuard<'a, K, V, R> {
     fn run<E>(
-        cache: &'a Lru<K, V>,
+        cache: &'a Lru<K, V, R>,
         key: &'a K,
-        build: impl FnOnce() -> Result<V, E>,
-    ) -> Result<Arc<V>, E> {
+        build: impl FnOnce() -> Result<(V, R), E>,
+    ) -> Result<(Arc<V>, R), E> {
         let mut guard = BuildGuard {
             cache,
             key,
@@ -284,16 +317,16 @@ impl<'a, K: Eq + Hash + Clone, V> BuildGuard<'a, K, V> {
         };
         let value = build();
         match value {
-            Ok(v) => {
+            Ok((v, note)) => {
                 guard.armed = false;
-                Ok(Arc::new(v))
+                Ok((Arc::new(v), note))
             }
             Err(e) => Err(e), // guard drops armed: reservation removed, waiters woken
         }
     }
 }
 
-impl<K: Eq + Hash + Clone, V> Drop for BuildGuard<'_, K, V> {
+impl<K: Eq + Hash + Clone, V, R> Drop for BuildGuard<'_, K, V, R> {
     fn drop(&mut self) {
         if self.armed {
             let mut inner = self.cache.lock();
@@ -308,13 +341,70 @@ impl<K: Eq + Hash + Clone, V> Drop for BuildGuard<'_, K, V> {
     }
 }
 
+/// How to rebuild one cached operator from its floorplan.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RecipeKind {
+    /// Dense steady-state [`ThermalOperator`] (the cache's image orders
+    /// are part of the fingerprint, not the recipe).
+    Steady,
+    /// [`SpectralOperator`] at a refinement tolerance (the tile grid is
+    /// re-inferred from the floorplan).
+    Spectral {
+        /// Refinement tolerance the operator was built at.
+        tolerance: f64,
+    },
+    /// Transient propagator over the floorplan's steady operator and
+    /// its silicon block capacitances.
+    Transient {
+        /// Time step, s.
+        dt_s: f64,
+        /// Implicit scheme.
+        scheme: ImplicitScheme,
+    },
+    /// Pixel-grid [`MapOperator`].
+    Map {
+        /// Horizontal pixel count.
+        nx: usize,
+        /// Vertical pixel count.
+        ny: usize,
+    },
+}
+
+/// One cached operator's rebuild recipe: the floorplan it was built
+/// from plus the kind-specific parameters.
+#[derive(Debug, Clone)]
+pub struct CacheRecipe {
+    /// The floorplan the operator was built from.
+    pub floorplan: Arc<Floorplan>,
+    /// Kind-specific rebuild parameters.
+    pub kind: RecipeKind,
+}
+
+/// The recipe a miss records next to its entry: the floorplan is copied
+/// only when a build actually runs.
+fn recipe(floorplan: &Floorplan, kind: RecipeKind) -> Option<CacheRecipe> {
+    Some(CacheRecipe {
+        floorplan: Arc::new(floorplan.clone()),
+        kind,
+    })
+}
+
+/// An operator cache whose entries carry their rebuild recipes.
+type RecipeLru<V> = Lru<u64, V, Option<CacheRecipe>>;
+
 /// The fleet's operator caches, keyed by content fingerprint.
+///
+/// This is the one place that knows how each operator kind is keyed
+/// and rebuilt: every acquisition computes its fingerprint here, and a
+/// build records its [`CacheRecipe`] next to the entry, so the
+/// recipes a [manifest](crate::persist::manifest) lists are exactly
+/// what the caches hold.
 #[derive(Debug)]
 pub struct OperatorCache {
-    steady: Lru<u64, ThermalOperator>,
-    transient: Lru<u64, TransientOperator>,
-    map: Lru<u64, MapOperator>,
-    spectral: Lru<u64, SpectralOperator>,
+    steady: RecipeLru<ThermalOperator>,
+    transient: RecipeLru<TransientOperator>,
+    map: RecipeLru<MapOperator>,
+    spectral: RecipeLru<SpectralOperator>,
     results: Lru<u64, SweepReport>,
 }
 
@@ -359,23 +449,17 @@ impl OperatorCache {
         hook: impl FnOnce(),
     ) -> Arc<ThermalOperator> {
         let key = operator_fingerprint(floorplan, lateral_order, z_order);
-        let built: Result<_, std::convert::Infallible> = self.steady.get_or_build(key, || {
+        infallible(self.steady.get_or_build_noted(key, || {
             hook();
-            Ok(ThermalOperator::with_image_orders_threaded(
-                floorplan,
-                lateral_order,
-                z_order,
-                1,
-            ))
-        });
-        match built {
-            Ok(op) => op,
-            Err(never) => match never {},
-        }
+            let op =
+                ThermalOperator::with_image_orders_threaded(floorplan, lateral_order, z_order, 1);
+            Ok((op, recipe(floorplan, RecipeKind::Steady)))
+        }))
     }
 
     /// The implicit transient propagator for `(op, capacitances, dt,
-    /// scheme)`: cached under [`propagator_fingerprint`].
+    /// scheme)`: cached under [`propagator_fingerprint`]. An entry built
+    /// here records no rebuild recipe (it has no floorplan).
     ///
     /// # Errors
     ///
@@ -387,9 +471,44 @@ impl OperatorCache {
         dt: f64,
         scheme: ImplicitScheme,
     ) -> Result<Arc<TransientOperator>, TransientError> {
+        self.propagator(op, capacitances, dt, scheme, || None)
+    }
+
+    /// [`Self::transient_operator`] over `floorplan`'s steady operator
+    /// `op` and its silicon block capacitances — how fleet jobs acquire
+    /// a propagator, recording its rebuild recipe.
+    ///
+    /// # Errors
+    ///
+    /// See [`TransientError`].
+    pub(crate) fn floorplan_propagator(
+        &self,
+        floorplan: &Floorplan,
+        op: &ThermalOperator,
+        dt: f64,
+        scheme: ImplicitScheme,
+    ) -> Result<Arc<TransientOperator>, TransientError> {
+        let caps = silicon_block_capacitances(floorplan);
+        self.propagator(op, &caps, dt, scheme, || {
+            recipe(floorplan, RecipeKind::Transient { dt_s: dt, scheme })
+        })
+    }
+
+    fn propagator(
+        &self,
+        op: &ThermalOperator,
+        capacitances: &[f64],
+        dt: f64,
+        scheme: ImplicitScheme,
+        recipe: impl FnOnce() -> Option<CacheRecipe>,
+    ) -> Result<Arc<TransientOperator>, TransientError> {
         let key = propagator_fingerprint(op, capacitances, dt, scheme);
-        self.transient
-            .get_or_build(key, || TransientOperator::new(op, capacitances, dt, scheme))
+        self.transient.get_or_build_noted(key, || {
+            Ok((
+                TransientOperator::new(op, capacitances, dt, scheme)?,
+                recipe(),
+            ))
+        })
     }
 
     /// The spatial map operator of `floorplan` on an `nx × ny` tile
@@ -405,20 +524,17 @@ impl OperatorCache {
         ny: usize,
     ) -> Arc<MapOperator> {
         let key = map_operator_fingerprint(floorplan, lateral_order, z_order, nx, ny);
-        let built: Result<_, std::convert::Infallible> = self.map.get_or_build(key, || {
-            Ok(MapOperator::with_image_orders_threaded(
+        infallible(self.map.get_or_build_noted(key, || {
+            let op = MapOperator::with_image_orders_threaded(
                 floorplan,
                 nx,
                 ny,
                 lateral_order,
                 z_order,
                 1,
-            ))
-        });
-        match built {
-            Ok(op) => op,
-            Err(never) => match never {},
-        }
+            );
+            Ok((op, recipe(floorplan, RecipeKind::Map { nx, ny })))
+        }))
     }
 
     /// The spectral (FFT) steady operator of `floorplan` at the given
@@ -457,19 +573,77 @@ impl OperatorCache {
         tolerance: f64,
         hook: impl FnOnce(),
     ) -> Result<Arc<SpectralOperator>, SpectralGridError> {
-        let (nx, ny) = ptherm_core::cosim::infer_grid(floorplan)?;
+        let (nx, ny) = infer_grid(floorplan)?;
         let key =
             spectral_operator_fingerprint(floorplan, lateral_order, z_order, nx, ny, tolerance);
-        self.spectral.get_or_build(key, || {
+        self.spectral.get_or_build_noted(key, || {
             hook();
-            SpectralOperator::with_image_orders_threaded(
+            let op = SpectralOperator::with_image_orders_threaded(
                 floorplan,
                 lateral_order,
                 z_order,
                 tolerance,
                 1,
-            )
+            )?;
+            Ok((op, recipe(floorplan, RecipeKind::Spectral { tolerance })))
         })
+    }
+
+    /// Rebuilds the entry `recipe` describes at the given image orders,
+    /// unless it is stale: the recipe must still key to the `recorded`
+    /// fingerprint (same orders, same tolerance, same floorplan
+    /// content), or nothing is built. Returns whether the entry is now
+    /// cached.
+    pub(crate) fn rebuild(
+        &self,
+        recorded: u64,
+        recipe: &CacheRecipe,
+        lateral_order: usize,
+        z_order: usize,
+    ) -> bool {
+        let plan = recipe.floorplan.as_ref();
+        match recipe.kind {
+            RecipeKind::Steady => {
+                operator_fingerprint(plan, lateral_order, z_order) == recorded && {
+                    self.steady_operator(plan, lateral_order, z_order);
+                    true
+                }
+            }
+            RecipeKind::Spectral { tolerance } => {
+                infer_grid(plan).is_ok_and(|(nx, ny)| {
+                    spectral_operator_fingerprint(plan, lateral_order, z_order, nx, ny, tolerance)
+                        == recorded
+                }) && self
+                    .spectral_operator(plan, lateral_order, z_order, tolerance)
+                    .is_ok()
+            }
+            RecipeKind::Transient { dt_s, scheme } => {
+                // The propagator is keyed on the steady operator it
+                // factors through, so that comes first.
+                let op = self.steady_operator(plan, lateral_order, z_order);
+                let caps = silicon_block_capacitances(plan);
+                propagator_fingerprint(&op, &caps, dt_s, scheme) == recorded
+                    && self.floorplan_propagator(plan, &op, dt_s, scheme).is_ok()
+            }
+            RecipeKind::Map { nx, ny } => {
+                map_operator_fingerprint(plan, lateral_order, z_order, nx, ny) == recorded && {
+                    self.map_operator(plan, lateral_order, z_order, nx, ny);
+                    true
+                }
+            }
+        }
+    }
+
+    /// The rebuild recipe of every operator the caches hold, keyed by
+    /// its fingerprint. Propagators acquired through
+    /// [`Self::transient_operator`] carry no recipe and are left out.
+    pub(crate) fn recipes(&self) -> BTreeMap<u64, CacheRecipe> {
+        (self.steady.notes().into_iter())
+            .chain(self.transient.notes())
+            .chain(self.map.notes())
+            .chain(self.spectral.notes())
+            .filter_map(|(key, recipe)| Some((key, recipe?)))
+            .collect()
     }
 
     /// The **cold** steady result of a resolved delta-base request:
@@ -491,12 +665,7 @@ impl OperatorCache {
     /// re-solved one are bitwise identical — the determinism contract
     /// `delta` jobs pin in `tests/delta_determinism.rs`.
     pub fn steady_result(&self, key: u64, build: impl FnOnce() -> SweepReport) -> Arc<SweepReport> {
-        let built: Result<_, std::convert::Infallible> =
-            self.results.get_or_build(key, || Ok(build()));
-        match built {
-            Ok(report) => report,
-            Err(never) => match never {},
-        }
+        infallible(self.results.get_or_build(key, || Ok(build())))
     }
 
     /// Flushes every ready entry from all five caches (steady,
@@ -509,6 +678,18 @@ impl OperatorCache {
             + self.map.clear()
             + self.spectral.clear()
             + self.results.clear()
+    }
+
+    /// Counter snapshots of all five caches under their report names
+    /// (the keys of the serve `stats` record's `caches` object).
+    pub fn named_stats(&self) -> [(&'static str, CacheStats); 5] {
+        [
+            ("steady", self.steady_stats()),
+            ("transient", self.transient_stats()),
+            ("map", self.map_stats()),
+            ("spectral", self.spectral_stats()),
+            ("results", self.result_stats()),
+        ]
     }
 
     /// Counter snapshot for the steady-operator cache.
@@ -534,5 +715,13 @@ impl OperatorCache {
     /// Counter snapshot for the steady-result cache.
     pub fn result_stats(&self) -> CacheStats {
         self.results.stats()
+    }
+}
+
+/// The value of a build that cannot fail.
+fn infallible<T>(built: Result<T, Infallible>) -> T {
+    match built {
+        Ok(value) => value,
+        Err(never) => match never {},
     }
 }

@@ -43,30 +43,23 @@ use crate::jobs::{
     TransientJob,
 };
 use crate::json::Json;
-use crate::persist::{CacheRecipe, RecipeKind};
 use ptherm_core::cosim::spectral::DEFAULT_REFINEMENT_TOLERANCE;
 use ptherm_core::cosim::sweep::{ScaledTechPower, Scenario, ScenarioPowerModel};
 use ptherm_core::cosim::{
-    infer_grid, BatchPowerModel, BiasedTechPower, EnvelopeReport, EnvelopeSpec, EnvelopeSpecError,
-    MapReport, RunOptions, ScenarioGrid, SpectralGridError, SpectralOperator, SweepBackend,
-    SweepEngine, SweepOutcome, SweepReport, ThermalOperator, TransientConfig, TransientError,
-    TransientReport, SPECTRAL_AUTO_THRESHOLD,
+    BatchPowerModel, BiasedTechPower, EnvelopeReport, EnvelopeSpec, EnvelopeSpecError, MapReport,
+    RunOptions, ScenarioGrid, SpectralGridError, SweepBackend, SweepEngine, SweepOutcome,
+    SweepReport, TransientConfig, TransientError, TransientReport,
 };
-use ptherm_core::cosim::{
-    operator_fingerprint, propagator_fingerprint, spectral_operator_fingerprint,
-};
-use ptherm_core::thermal::capacitance::silicon_block_capacitances;
-use ptherm_core::thermal::map::map_operator_fingerprint;
 use ptherm_core::ElectroThermalSolver;
 use ptherm_floorplan::Floorplan;
 use ptherm_math::MultiVec;
 use ptherm_par::steal::StealQueues;
 use ptherm_par::CancelToken;
 use ptherm_tech::Technology;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Fleet-wide configuration.
@@ -80,10 +73,6 @@ pub struct FleetConfig {
     pub cache_capacity: usize,
     /// Batch width of each job's Picard/transient hot path.
     pub batch_lanes: usize,
-    /// `true` (production): amortize factorizations through the cache.
-    /// `false`: factor per job — the honest cold baseline the `fleet`
-    /// bench measures the cache against; results are bit-identical.
-    pub amortize: bool,
     /// Lateral image order of every operator build.
     pub lateral_order: usize,
     /// Depth-series order of every operator build.
@@ -104,7 +93,6 @@ impl Default for FleetConfig {
             threads: ptherm_par::default_threads(),
             cache_capacity: 32,
             batch_lanes: 64,
-            amortize: true,
             lateral_order: 2,
             z_order: 9,
             technologies: vec![Technology::cmos_120nm()],
@@ -150,8 +138,7 @@ pub enum FleetConfigError {
     /// `threads` was zero.
     ZeroThreads,
     /// `cache_capacity` was zero (a cache that can hold nothing would
-    /// rebuild every operator per job; use `amortize(false)` to opt
-    /// out of caching explicitly instead).
+    /// still advertise hits).
     ZeroCacheCapacity,
     /// `batch_lanes` was zero.
     ZeroBatchLanes,
@@ -166,10 +153,7 @@ impl fmt::Display for FleetConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FleetConfigError::ZeroThreads => write!(f, "threads must be at least 1"),
-            FleetConfigError::ZeroCacheCapacity => write!(
-                f,
-                "cache_capacity must be at least 1 (disable caching with amortize(false))"
-            ),
+            FleetConfigError::ZeroCacheCapacity => write!(f, "cache_capacity must be at least 1"),
             FleetConfigError::ZeroBatchLanes => write!(f, "batch_lanes must be at least 1"),
             FleetConfigError::ZeroRetryAttempts => {
                 write!(f, "retry.max_attempts must be at least 1 (1 = never retry)")
@@ -187,10 +171,7 @@ impl std::error::Error for FleetConfigError {}
 ///
 /// Batch mode, serve mode, the benches and the chaos suite all build
 /// their engines here, so configuration invariants are checked in
-/// exactly one place — the legacy constructors
-/// ([`FleetEngine::new`] / [`FleetEngine::from_request`] /
-/// [`FleetEngine::with_faults`]) survive as deprecated shims over
-/// this builder.
+/// exactly one place.
 ///
 /// # Example
 ///
@@ -243,13 +224,6 @@ impl FleetEngineBuilder {
     #[must_use]
     pub fn batch_lanes(mut self, lanes: usize) -> Self {
         self.config.batch_lanes = lanes;
-        self
-    }
-
-    /// Enables (default) or disables cache amortization.
-    #[must_use]
-    pub fn amortize(mut self, amortize: bool) -> Self {
-        self.config.amortize = amortize;
         self
     }
 
@@ -321,7 +295,12 @@ impl FleetEngineBuilder {
         if self.config.technologies.is_empty() {
             return Err(FleetConfigError::NoTechnologies);
         }
-        let mut engine = FleetEngine::from_parts(self.config, self.faults);
+        let mut engine = FleetEngine {
+            floorplans: HashMap::new(),
+            cache: OperatorCache::new(self.config.cache_capacity),
+            config: self.config,
+            faults: self.faults,
+        };
         for (name, plan) in self.floorplans {
             engine.register(name, plan);
         }
@@ -636,60 +615,14 @@ pub struct FleetEngine {
     cache: OperatorCache,
     config: FleetConfig,
     faults: Option<FaultPlan>,
-    /// Rebuild recipes of every operator the amortized paths have
-    /// cached, keyed by the operator's cache fingerprint — what
-    /// [`crate::persist`] serializes so a restarted service can warm
-    /// its caches before the first job arrives.
-    recipes: Mutex<BTreeMap<u64, CacheRecipe>>,
 }
 
 impl FleetEngine {
-    /// The one real constructor; everything public funnels through
-    /// [`FleetEngineBuilder::build`].
-    fn from_parts(config: FleetConfig, faults: Option<FaultPlan>) -> Self {
-        let cache = OperatorCache::new(config.cache_capacity);
-        FleetEngine {
-            floorplans: HashMap::new(),
-            cache,
-            config,
-            faults,
-            recipes: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// An engine with no floorplans registered yet.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `FleetEngineBuilder` (validated construction)"
-    )]
-    pub fn new(config: FleetConfig) -> Self {
-        Self::from_parts(config, None)
-    }
-
-    /// Installs a deterministic fault-injection plan: scheduled faults
-    /// fire by `(job index, attempt)` during [`Self::run`]. Chaos
-    /// testing only — a production engine carries no plan.
-    #[deprecated(since = "0.1.0", note = "use `FleetEngineBuilder::faults`")]
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
     /// Replaces (or clears) the fault plan between runs — how the chaos
     /// suite checks a faulted engine serves a subsequent fault-free
     /// queue with zero residual cache poisoning.
     pub fn set_faults(&mut self, plan: Option<FaultPlan>) {
         self.faults = plan;
-    }
-
-    /// An engine pre-loaded with a parsed request's floorplans.
-    #[deprecated(since = "0.1.0", note = "use `FleetEngineBuilder::request`")]
-    pub fn from_request(config: FleetConfig, request: &crate::jobs::FleetRequest) -> Self {
-        let mut engine = Self::from_parts(config, None);
-        for (name, plan) in &request.floorplans {
-            engine.register(name.clone(), plan.clone());
-        }
-        engine
     }
 
     /// Registers (or replaces) a named floorplan.
@@ -884,164 +817,56 @@ impl FleetEngine {
         Ok((report, backend))
     }
 
-    /// The per-job solver, carrying the fleet's image orders.
-    fn solver(&self, floorplan: &Arc<Floorplan>) -> ElectroThermalSolver {
-        let mut solver = ElectroThermalSolver::new(floorplan.as_ref().clone());
-        solver.lateral_order = self.config.lateral_order;
-        solver.z_order = self.config.z_order;
-        solver
-    }
-
-    /// The per-job [`SweepEngine`]: configured solver + the floorplan's
-    /// dense operator, cached or cold per [`FleetConfig::amortize`].
-    /// `builder_panic` injects [`Fault::BuilderPanic`] inside the build
-    /// closure — under the cache's single-flight reservation when
-    /// amortizing, so the chaos suite exercises the same recovery path
-    /// a real build failure takes.
-    fn sweep_engine(&self, floorplan: &Arc<Floorplan>, builder_panic: bool) -> SweepEngine {
-        let operator = if self.config.amortize {
-            let operator = self.cache.steady_operator_hooked(
-                floorplan,
-                self.config.lateral_order,
-                self.config.z_order,
-                || {
-                    if builder_panic {
-                        // lint:allow(panic-freedom) — deliberate FaultPlan injection; isolated by attempt_job's catch_unwind
-                        panic!("injected fault: builder panic");
-                    }
-                },
-            );
-            // A cache hit skips the build closure; the scheduled fault
-            // must fire deterministically regardless of cache state.
-            if builder_panic {
-                // lint:allow(panic-freedom) — deliberate FaultPlan injection; isolated by attempt_job's catch_unwind
-                panic!("injected fault: builder panic");
-            }
-            let key =
-                operator_fingerprint(floorplan, self.config.lateral_order, self.config.z_order);
-            self.record_recipe(key, floorplan, RecipeKind::Steady);
-            operator
-        } else {
-            if builder_panic {
-                // lint:allow(panic-freedom) — deliberate FaultPlan injection; isolated by attempt_job's catch_unwind
-                panic!("injected fault: builder panic");
-            }
-            Arc::new(ThermalOperator::with_image_orders_threaded(
-                floorplan,
-                self.config.lateral_order,
-                self.config.z_order,
-                1,
-            ))
-        };
-        SweepEngine::with_operator(self.solver(floorplan), operator)
-            .threads(1)
-            .batch_lanes(self.config.batch_lanes)
-    }
-
-    /// The spectral counterpart of [`Self::sweep_engine`]: configured
-    /// solver + the floorplan's [`SpectralOperator`], cached or cold per
-    /// [`FleetConfig::amortize`]. Never touches the dense cache.
-    ///
-    /// # Errors
-    ///
-    /// [`SpectralGridError`] when no coincident tile grid exists.
-    fn spectral_engine(
+    /// What every job arm solves with: the per-job [`SweepEngine`] (a
+    /// solver carrying the fleet's image orders + the floorplan's cached
+    /// operator for the resolved `backend`: spectral, or dense for
+    /// anything else), `job`'s scenario grid and its power model. A
+    /// scheduled [`Fault::BuilderPanic`] fires inside the cache's
+    /// single-flight build, so the chaos suite exercises the same
+    /// recovery path a real build failure takes.
+    fn prepare(
         &self,
+        job: &SteadyJob,
         floorplan: &Arc<Floorplan>,
-        builder_panic: bool,
-    ) -> Result<SweepEngine, SpectralGridError> {
-        let operator = if self.config.amortize {
-            let operator = self.cache.spectral_operator_hooked(
-                floorplan,
-                self.config.lateral_order,
-                self.config.z_order,
-                DEFAULT_REFINEMENT_TOLERANCE,
-                || {
-                    if builder_panic {
-                        // lint:allow(panic-freedom) — deliberate FaultPlan injection; isolated by attempt_job's catch_unwind
-                        panic!("injected fault: builder panic");
-                    }
-                },
-            )?;
-            // A cache hit skips the build closure; the scheduled fault
-            // must fire deterministically regardless of cache state.
+        backend: SweepBackend,
+        fault: Option<&Fault>,
+    ) -> Result<(SweepEngine, ScenarioGrid, FaultableModel), JobError> {
+        let builder_panic = matches!(fault, Some(Fault::BuilderPanic));
+        let hook = || {
             if builder_panic {
                 // lint:allow(panic-freedom) — deliberate FaultPlan injection; isolated by attempt_job's catch_unwind
                 panic!("injected fault: builder panic");
             }
-            if let Ok((nx, ny)) = infer_grid(floorplan) {
-                let key = spectral_operator_fingerprint(
-                    floorplan,
-                    self.config.lateral_order,
-                    self.config.z_order,
-                    nx,
-                    ny,
-                    DEFAULT_REFINEMENT_TOLERANCE,
-                );
-                self.record_recipe(
-                    key,
-                    floorplan,
-                    RecipeKind::Spectral {
-                        tolerance: DEFAULT_REFINEMENT_TOLERANCE,
-                    },
-                );
-            }
-            operator
-        } else {
-            if builder_panic {
-                // lint:allow(panic-freedom) — deliberate FaultPlan injection; isolated by attempt_job's catch_unwind
-                panic!("injected fault: builder panic");
-            }
-            Arc::new(SpectralOperator::with_image_orders_threaded(
-                floorplan,
-                self.config.lateral_order,
-                self.config.z_order,
-                DEFAULT_REFINEMENT_TOLERANCE,
-                1,
-            )?)
         };
-        Ok(
-            SweepEngine::with_spectral_operator(self.solver(floorplan), operator)
-                .threads(1)
-                .batch_lanes(self.config.batch_lanes),
-        )
+        let (lateral, z) = (self.config.lateral_order, self.config.z_order);
+        let mut solver = ElectroThermalSolver::new(floorplan.as_ref().clone());
+        solver.lateral_order = lateral;
+        solver.z_order = z;
+        let engine = if backend == SweepBackend::Spectral {
+            let operator = self
+                .cache
+                .spectral_operator_hooked(floorplan, lateral, z, DEFAULT_REFINEMENT_TOLERANCE, hook)
+                .map_err(JobError::Backend)?;
+            SweepEngine::with_spectral_operator(solver, operator)
+        } else {
+            let operator = self
+                .cache
+                .steady_operator_hooked(floorplan, lateral, z, hook);
+            SweepEngine::with_operator(solver, operator)
+        };
+        // A cache hit skips the build hook; the scheduled fault must
+        // fire deterministically regardless of cache state.
+        hook();
+        let engine = engine.threads(1).batch_lanes(self.config.batch_lanes);
+        let grid = self.grid(job);
+        let model = FaultableModel::new(FleetPower::for_job(job, floorplan, &grid), fault);
+        Ok((engine, grid, model))
     }
 
     fn floorplan(&self, name: &str) -> Result<&Arc<Floorplan>, JobError> {
         self.floorplans
             .get(name)
             .ok_or_else(|| JobError::UnknownFloorplan(name.to_string()))
-    }
-
-    /// Remembers how to rebuild a cached operator (first recording per
-    /// fingerprint wins; later jobs with the same key are cache hits of
-    /// the same bit-identical build). Only the amortized paths record —
-    /// a cold engine has no cache worth persisting.
-    pub(crate) fn record_recipe(&self, key: u64, floorplan: &Arc<Floorplan>, kind: RecipeKind) {
-        let mut recipes = match self.recipes.lock() {
-            Ok(guard) => guard,
-            // A panicking worker is caught at the job boundary; the map
-            // itself is only ever mutated by this entry API, so the
-            // poisoned state is intact.
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        recipes.entry(key).or_insert_with(|| CacheRecipe {
-            floorplan: Arc::clone(floorplan),
-            kind,
-        });
-    }
-
-    /// Snapshot of every recorded rebuild recipe, fingerprint-keyed and
-    /// deterministically ordered (for [`crate::persist::manifest`]).
-    pub(crate) fn recipes_snapshot(&self) -> Vec<(u64, CacheRecipe)> {
-        let recipes = match self.recipes.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        recipes
-            .iter()
-            .map(|(key, recipe)| (*key, recipe.clone()))
-            .collect()
     }
 
     fn grid(&self, job: &SteadyJob) -> ScenarioGrid {
@@ -1054,37 +879,6 @@ impl FleetEngine {
         }
     }
 
-    /// Resolves a job's requested backend against the floorplan before
-    /// building any operator: a spectral job must not pay the dense
-    /// O(n²) build, and an explicit "spectral" on an off-grid floorplan
-    /// is a typed job error, not a worker panic. Auto mirrors
-    /// `SweepEngine::resolved_backend`.
-    fn resolved_spectral(&self, job: &SteadyJob, floorplan: &Arc<Floorplan>) -> bool {
-        match job.backend {
-            SweepBackend::Spectral => true,
-            SweepBackend::Dense => false,
-            SweepBackend::Auto => {
-                floorplan.blocks().len() >= SPECTRAL_AUTO_THRESHOLD && infer_grid(floorplan).is_ok()
-            }
-        }
-    }
-
-    /// Builds the resolved backend's [`SweepEngine`] for a steady-class
-    /// job (steady / delta / envelope).
-    fn steady_engine(
-        &self,
-        spectral: bool,
-        floorplan: &Arc<Floorplan>,
-        builder_panic: bool,
-    ) -> Result<SweepEngine, JobError> {
-        if spectral {
-            self.spectral_engine(floorplan, builder_panic)
-                .map_err(JobError::Backend)
-        } else {
-            Ok(self.sweep_engine(floorplan, builder_panic))
-        }
-    }
-
     fn run_steady(
         &self,
         job: &SteadyJob,
@@ -1092,17 +886,8 @@ impl FleetEngine {
         cancel: Option<&CancelToken>,
         fault: Option<&Fault>,
     ) -> Result<(SweepReport, SweepBackend), JobError> {
-        let spectral = self.resolved_spectral(job, floorplan);
-        let builder_panic = matches!(fault, Some(Fault::BuilderPanic));
-        let engine = self.steady_engine(spectral, floorplan, builder_panic)?;
-        let grid = self.grid(job);
-        let model = FleetPower::for_job(job, floorplan, &grid);
-        let model = FaultableModel::new(&model, fault);
-        let backend = if spectral {
-            SweepBackend::Spectral
-        } else {
-            SweepBackend::Dense
-        };
+        let backend = job.backend.resolve(floorplan);
+        let (engine, grid, model) = self.prepare(job, floorplan, backend, fault)?;
         Ok((engine.run_with_cancel(&grid, &model, cancel), backend))
     }
 
@@ -1124,23 +909,22 @@ impl FleetEngine {
         cancel: Option<&CancelToken>,
         fault: Option<&Fault>,
     ) -> Result<(SweepReport, usize, SweepBackend), JobError> {
-        let builder_panic = matches!(fault, Some(Fault::BuilderPanic));
         // The delta's engine first: an injected builder fault fires on
         // the delta's own build path, never inside the base solve.
-        let delta_spectral = self.resolved_spectral(&job.job, floorplan);
-        let delta_engine = self.steady_engine(delta_spectral, floorplan, builder_panic)?;
+        let backend = job.job.backend.resolve(floorplan);
+        let (delta_engine, grid, model) = self.prepare(&job.job, floorplan, backend, fault)?;
 
-        let base_spectral = self.resolved_spectral(&job.base, floorplan);
-        let base_engine = self.steady_engine(base_spectral, floorplan, false)?;
-        let base_grid = self.grid(&job.base);
-        let base_model = FleetPower::for_job(&job.base, floorplan, &base_grid);
-        let solve_cold = || base_engine.run_with_cancel(&base_grid, &base_model, None);
-        let base_report = if self.config.amortize {
-            let key = steady_result_fingerprint(&job.base, floorplan.fingerprint(), base_spectral);
-            self.cache.steady_result(key, solve_cold)
-        } else {
-            Arc::new(solve_cold())
-        };
+        let base_backend = job.base.backend.resolve(floorplan);
+        let (base_engine, base_grid, base_model) =
+            self.prepare(&job.base, floorplan, base_backend, None)?;
+        let key = steady_result_fingerprint(
+            &job.base,
+            floorplan.fingerprint(),
+            base_backend == SweepBackend::Spectral,
+        );
+        let base_report = self.cache.steady_result(key, || {
+            base_engine.run_with_cancel(&base_grid, &base_model, None)
+        });
 
         // Converged base fixed points, with their scenario coordinates.
         let sink_k = floorplan.geometry().sink_temperature;
@@ -1159,7 +943,6 @@ impl FleetEngine {
             })
             .collect();
 
-        let grid = self.grid(&job.job);
         // Nearest converged base scenario in (vdd, activity, ambient)
         // space, same technology only; ties break to the lowest base
         // index (strict `<` keeps the first minimum), so seeding is a
@@ -1182,18 +965,11 @@ impl FleetEngine {
         };
         let seeded = (0..grid.len()).filter(|&id| seed_of(id).is_some()).count();
 
-        let model = FleetPower::for_job(&job.job, floorplan, &grid);
-        let model = FaultableModel::new(&model, fault);
         let mut opts = RunOptions::new();
         if let Some(token) = cancel {
             opts = opts.cancel(token);
         }
         let report = delta_engine.sweep_seeded(&grid, &model, &seed_of, opts);
-        let backend = if delta_spectral {
-            SweepBackend::Spectral
-        } else {
-            SweepBackend::Dense
-        };
         Ok((report, seeded, backend))
     }
 
@@ -1206,12 +982,8 @@ impl FleetEngine {
         cancel: Option<&CancelToken>,
         fault: Option<&Fault>,
     ) -> Result<(EnvelopeReport, SweepBackend), JobError> {
-        let spectral = self.resolved_spectral(&job.base, floorplan);
-        let builder_panic = matches!(fault, Some(Fault::BuilderPanic));
-        let engine = self.steady_engine(spectral, floorplan, builder_panic)?;
-        let grid = self.grid(&job.base);
-        let model = FleetPower::for_job(&job.base, floorplan, &grid);
-        let model = FaultableModel::new(&model, fault);
+        let backend = job.base.backend.resolve(floorplan);
+        let (engine, grid, model) = self.prepare(&job.base, floorplan, backend, fault)?;
         let spec = EnvelopeSpec {
             axis: job.axis,
             lo: job.lo,
@@ -1225,11 +997,6 @@ impl FleetEngine {
         let report = engine
             .map_envelope(&grid, &model, &spec, opts)
             .map_err(JobError::Envelope)?;
-        let backend = if spectral {
-            SweepBackend::Spectral
-        } else {
-            SweepBackend::Dense
-        };
         Ok((report, backend))
     }
 
@@ -1240,36 +1007,15 @@ impl FleetEngine {
         cancel: Option<&CancelToken>,
         fault: Option<&Fault>,
     ) -> Result<MapReport, JobError> {
-        let engine = self.sweep_engine(floorplan, matches!(fault, Some(Fault::BuilderPanic)));
-        let grid = self.grid(&job.base);
-        let model = FleetPower::for_job(&job.base, floorplan, &grid);
-        let model = FaultableModel::new(&model, fault);
-        let map_op = if self.config.amortize {
-            let key = map_operator_fingerprint(
-                floorplan,
-                self.config.lateral_order,
-                self.config.z_order,
-                job.nx,
-                job.ny,
-            );
-            self.record_recipe(
-                key,
-                floorplan,
-                RecipeKind::Map {
-                    nx: job.nx,
-                    ny: job.ny,
-                },
-            );
-            self.cache.map_operator(
-                floorplan,
-                self.config.lateral_order,
-                self.config.z_order,
-                job.nx,
-                job.ny,
-            )
-        } else {
-            Arc::new(engine.map_operator(job.nx, job.ny))
-        };
+        let (engine, grid, model) =
+            self.prepare(&job.base, floorplan, SweepBackend::Dense, fault)?;
+        let map_op = self.cache.map_operator(
+            floorplan,
+            self.config.lateral_order,
+            self.config.z_order,
+            job.nx,
+            job.ny,
+        );
         Ok(engine.run_map_with_cancel(&grid, &model, &map_op, cancel))
     }
 
@@ -1280,34 +1026,15 @@ impl FleetEngine {
         cancel: Option<&CancelToken>,
         fault: Option<&Fault>,
     ) -> Result<TransientReport, JobError> {
-        let engine = self.sweep_engine(floorplan, matches!(fault, Some(Fault::BuilderPanic)));
-        let grid = self.grid(&job.base);
-        let model = FleetPower::for_job(&job.base, floorplan, &grid);
-        let model = FaultableModel::new(&model, fault);
+        let (engine, grid, model) =
+            self.prepare(&job.base, floorplan, SweepBackend::Dense, fault)?;
         let cfg = TransientConfig::new(job.dt_s, job.steps)
             .scheme(job.scheme)
             .waveforms(job.waveforms.clone());
-        let propagator = if self.config.amortize {
-            let caps = silicon_block_capacitances(floorplan);
-            let key = propagator_fingerprint(engine.operator(), &caps, job.dt_s, job.scheme);
-            self.record_recipe(
-                key,
-                floorplan,
-                RecipeKind::Transient {
-                    dt_s: job.dt_s,
-                    scheme: job.scheme,
-                },
-            );
-            self.cache
-                .transient_operator(engine.operator(), &caps, job.dt_s, job.scheme)
-                .map_err(JobError::Transient)?
-        } else {
-            Arc::new(
-                engine
-                    .transient_operator(&cfg)
-                    .map_err(JobError::Transient)?,
-            )
-        };
+        let propagator = self
+            .cache
+            .floorplan_propagator(floorplan, engine.operator(), job.dt_s, job.scheme)
+            .map_err(JobError::Transient)?;
         engine
             .run_transient_with_cancel(&grid, &model, &cfg, &propagator, cancel)
             .map_err(JobError::Transient)
@@ -1371,13 +1098,13 @@ impl ScenarioPowerModel for FleetPower {
 /// With no scheduled panic it is a zero-cost pass-through: `batched`
 /// hands back the inner model's batch unchanged, so fault-free jobs
 /// run the exact code path (and bit pattern) of an unwrapped model.
-struct FaultableModel<'m, M: ScenarioPowerModel> {
-    inner: &'m M,
+struct FaultableModel {
+    inner: FleetPower,
     panic_at: Option<usize>,
 }
 
-impl<'m, M: ScenarioPowerModel> FaultableModel<'m, M> {
-    fn new(inner: &'m M, fault: Option<&Fault>) -> Self {
+impl FaultableModel {
+    fn new(inner: FleetPower, fault: Option<&Fault>) -> Self {
         let panic_at = match fault {
             Some(Fault::SolverPanic { iteration }) => Some(*iteration),
             _ => None,
@@ -1386,7 +1113,7 @@ impl<'m, M: ScenarioPowerModel> FaultableModel<'m, M> {
     }
 }
 
-impl<M: ScenarioPowerModel> ScenarioPowerModel for FaultableModel<'_, M> {
+impl ScenarioPowerModel for FaultableModel {
     fn block_power(
         &self,
         scenario: &Scenario,

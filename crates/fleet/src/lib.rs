@@ -46,7 +46,7 @@ pub mod metrics;
 pub mod persist;
 pub mod server;
 
-pub use cache::{CacheStats, Lru, OperatorCache};
+pub use cache::{CacheRecipe, CacheStats, Lru, OperatorCache, RecipeKind};
 pub use engine::{
     FleetConfig, FleetConfigError, FleetEngine, FleetEngineBuilder, FleetReport, JobError,
     JobRecord, JobReport, RetryPolicy,
@@ -59,5 +59,5 @@ pub use jobs::{
 };
 pub use json::{Json, JsonError};
 pub use metrics::ServeMetrics;
-pub use persist::{CacheRecipe, ManifestError, RecipeKind, WarmReport, MANIFEST_VERSION};
+pub use persist::{ManifestError, WarmReport, MANIFEST_VERSION};
 pub use server::{FleetServer, ServeConfig, ServeListener, ServeSummary};

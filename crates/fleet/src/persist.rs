@@ -6,6 +6,8 @@
 //! deterministic build. What persists is the **recipe**: the floorplan
 //! and the handful of parameters ([`RecipeKind`]) that reproduce each
 //! entry, keyed by the same content fingerprint the cache itself uses.
+//! The cache records each recipe next to its entry, so a manifest lists
+//! exactly the entries the caches hold when it is saved.
 //! [`warm`] replays the recipes through the ordinary cache paths, so a
 //! restarted service reaches steady-state hit rates before its first
 //! job — and a warmed operator is *bit-identical* to the one the
@@ -25,13 +27,9 @@
 //! decimal rendering — so a floorplan's fingerprint after reload equals
 //! its fingerprint before, and warm hits the same cache keys.
 
+use crate::cache::{CacheRecipe, RecipeKind};
 use crate::engine::FleetEngine;
 use crate::json::Json;
-use ptherm_core::cosim::{
-    infer_grid, operator_fingerprint, propagator_fingerprint, spectral_operator_fingerprint,
-};
-use ptherm_core::thermal::capacitance::silicon_block_capacitances;
-use ptherm_core::thermal::map::map_operator_fingerprint;
 use ptherm_floorplan::{Block, ChipGeometry, Floorplan};
 use ptherm_math::ode::ImplicitScheme;
 use std::sync::Arc;
@@ -39,62 +37,6 @@ use std::sync::Arc;
 /// Manifest schema version (bumped on any incompatible layout change;
 /// [`warm`] refuses manifests it does not understand).
 pub const MANIFEST_VERSION: u64 = 1;
-
-/// How to rebuild one cached operator from its floorplan.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RecipeKind {
-    /// Dense steady-state [`ThermalOperator`] (the engine's configured
-    /// image orders are part of the fingerprint, not the recipe).
-    ///
-    /// [`ThermalOperator`]: ptherm_core::cosim::ThermalOperator
-    Steady,
-    /// [`SpectralOperator`] at a refinement tolerance (the tile grid is
-    /// re-inferred from the floorplan).
-    ///
-    /// [`SpectralOperator`]: ptherm_core::cosim::SpectralOperator
-    Spectral {
-        /// Refinement tolerance the operator was built at.
-        tolerance: f64,
-    },
-    /// Transient propagator over the floorplan's steady operator.
-    Transient {
-        /// Time step, s.
-        dt_s: f64,
-        /// Implicit scheme.
-        scheme: ImplicitScheme,
-    },
-    /// Pixel-grid [`MapOperator`].
-    ///
-    /// [`MapOperator`]: ptherm_core::thermal::map::MapOperator
-    Map {
-        /// Horizontal pixel count.
-        nx: usize,
-        /// Vertical pixel count.
-        ny: usize,
-    },
-}
-
-impl RecipeKind {
-    /// The manifest's `"kind"` tag.
-    fn tag(&self) -> &'static str {
-        match self {
-            RecipeKind::Steady => "steady",
-            RecipeKind::Spectral { .. } => "spectral",
-            RecipeKind::Transient { .. } => "transient",
-            RecipeKind::Map { .. } => "map",
-        }
-    }
-}
-
-/// One cached operator's rebuild recipe: the floorplan it was built
-/// from plus the kind-specific parameters.
-#[derive(Debug, Clone)]
-pub struct CacheRecipe {
-    /// The floorplan the operator was built from.
-    pub floorplan: Arc<Floorplan>,
-    /// Kind-specific rebuild parameters.
-    pub kind: RecipeKind,
-}
 
 /// What [`warm`] did with a manifest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -216,35 +158,44 @@ fn scheme_from_tag(tag: &str) -> Option<ImplicitScheme> {
     }
 }
 
-/// Renders the engine's recorded cache recipes as a manifest value.
+/// Renders the recipes of every operator the engine's caches hold as a
+/// manifest value.
 ///
 /// Entries are fingerprint-ordered, so the manifest of a given cache
-/// state is byte-stable regardless of job arrival order. An engine that
-/// has served no amortized jobs yields a valid empty manifest.
+/// state is byte-stable regardless of job arrival order. An engine
+/// whose caches hold no operator yields a valid empty manifest.
 pub fn manifest(engine: &FleetEngine) -> Json {
     let entries = engine
-        .recipes_snapshot()
+        .cache()
+        .recipes()
         .into_iter()
         .map(|(key, recipe)| {
+            let (tag, params) = match &recipe.kind {
+                RecipeKind::Steady => ("steady", vec![]),
+                RecipeKind::Spectral { tolerance } => {
+                    ("spectral", vec![("tolerance".into(), hex_bits(*tolerance))])
+                }
+                RecipeKind::Transient { dt_s, scheme } => (
+                    "transient",
+                    vec![
+                        ("dt_s".into(), hex_bits(*dt_s)),
+                        ("scheme".into(), Json::String(scheme_tag(*scheme).into())),
+                    ],
+                ),
+                RecipeKind::Map { nx, ny } => (
+                    "map",
+                    vec![
+                        ("nx".into(), Json::Number(*nx as f64)),
+                        ("ny".into(), Json::Number(*ny as f64)),
+                    ],
+                ),
+            };
             let mut fields = vec![
-                ("kind".into(), Json::String(recipe.kind.tag().into())),
+                ("kind".into(), Json::String(tag.into())),
                 ("fingerprint".into(), hex_u64(key)),
                 ("floorplan".into(), floorplan_to_json(&recipe.floorplan)),
             ];
-            match &recipe.kind {
-                RecipeKind::Steady => {}
-                RecipeKind::Spectral { tolerance } => {
-                    fields.push(("tolerance".into(), hex_bits(*tolerance)));
-                }
-                RecipeKind::Transient { dt_s, scheme } => {
-                    fields.push(("dt_s".into(), hex_bits(*dt_s)));
-                    fields.push(("scheme".into(), Json::String(scheme_tag(*scheme).into())));
-                }
-                RecipeKind::Map { nx, ny } => {
-                    fields.push(("nx".into(), Json::Number(*nx as f64)));
-                    fields.push(("ny".into(), Json::Number(*ny as f64)));
-                }
-            }
+            fields.extend(params);
             Json::Object(fields)
         })
         .collect();
@@ -290,16 +241,28 @@ pub fn parse_manifest(text: &str) -> Result<Json, ManifestError> {
 ///
 /// Stale entries — fingerprint mismatch under this engine's image
 /// orders, floorplans that no longer validate, malformed records — are
-/// skipped, never guessed at. Warming also (re-)records each rebuilt
-/// recipe, so a save → warm → save chain is idempotent.
+/// skipped, never guessed at. Each rebuilt entry records its recipe
+/// again, so a save → warm → save chain is idempotent.
 pub fn warm(engine: &FleetEngine, manifest: &Json) -> WarmReport {
     let mut report = WarmReport::default();
     let entries = match manifest.get("entries").and_then(Json::as_array) {
         Some(entries) => entries,
         None => return report,
     };
+    let config = engine.config();
     for entry in entries {
-        if warm_entry(engine, entry) {
+        let rebuilt = match (
+            entry.get("fingerprint").and_then(from_hex_u64),
+            recipe_from_json(entry),
+        ) {
+            (Some(key), Some(recipe)) => {
+                engine
+                    .cache()
+                    .rebuild(key, &recipe, config.lateral_order, config.z_order)
+            }
+            _ => false,
+        };
+        if rebuilt {
             report.rebuilt += 1;
         } else {
             report.skipped += 1;
@@ -308,97 +271,28 @@ pub fn warm(engine: &FleetEngine, manifest: &Json) -> WarmReport {
     report
 }
 
-fn warm_entry(engine: &FleetEngine, entry: &Json) -> bool {
-    let (lateral, z) = {
-        let config = engine.config();
-        (config.lateral_order, config.z_order)
+/// The rebuild recipe of one manifest entry (`None`: malformed).
+fn recipe_from_json(entry: &Json) -> Option<CacheRecipe> {
+    let floorplan = Arc::new(floorplan_from_json(entry.get("floorplan")?)?);
+    let kind = match entry.get("kind")?.as_str()? {
+        "steady" => RecipeKind::Steady,
+        "spectral" => RecipeKind::Spectral {
+            tolerance: from_hex_bits(entry.get("tolerance")?)?,
+        },
+        "transient" => RecipeKind::Transient {
+            dt_s: from_hex_bits(entry.get("dt_s")?)?,
+            scheme: scheme_from_tag(entry.get("scheme")?.as_str()?)?,
+        },
+        "map" => match (
+            entry.get("nx").and_then(Json::as_usize),
+            entry.get("ny").and_then(Json::as_usize),
+        ) {
+            (Some(nx), Some(ny)) if nx > 0 && ny > 0 => RecipeKind::Map { nx, ny },
+            _ => return None,
+        },
+        _ => return None,
     };
-    let recorded_key = match entry.get("fingerprint").and_then(from_hex_u64) {
-        Some(key) => key,
-        None => return false,
-    };
-    let plan = match entry.get("floorplan").and_then(floorplan_from_json) {
-        Some(plan) => Arc::new(plan),
-        None => return false,
-    };
-    match entry.get("kind").and_then(Json::as_str) {
-        Some("steady") => {
-            if operator_fingerprint(&plan, lateral, z) != recorded_key {
-                return false;
-            }
-            engine.cache().steady_operator(&plan, lateral, z);
-            engine.record_recipe(recorded_key, &plan, RecipeKind::Steady);
-            true
-        }
-        Some("spectral") => {
-            let tolerance = match entry.get("tolerance").and_then(from_hex_bits) {
-                Some(t) => t,
-                None => return false,
-            };
-            let (nx, ny) = match infer_grid(&plan) {
-                Ok(grid) => grid,
-                Err(_) => return false,
-            };
-            if spectral_operator_fingerprint(&plan, lateral, z, nx, ny, tolerance) != recorded_key {
-                return false;
-            }
-            if engine
-                .cache()
-                .spectral_operator(&plan, lateral, z, tolerance)
-                .is_err()
-            {
-                return false;
-            }
-            engine.record_recipe(recorded_key, &plan, RecipeKind::Spectral { tolerance });
-            true
-        }
-        Some("transient") => {
-            let dt_s = match entry.get("dt_s").and_then(from_hex_bits) {
-                Some(dt) => dt,
-                None => return false,
-            };
-            let scheme = match entry
-                .get("scheme")
-                .and_then(Json::as_str)
-                .and_then(scheme_from_tag)
-            {
-                Some(scheme) => scheme,
-                None => return false,
-            };
-            // The propagator is keyed on the (cached) steady operator
-            // it factors through, so warm that first.
-            let op = engine.cache().steady_operator(&plan, lateral, z);
-            let caps = silicon_block_capacitances(&plan);
-            if propagator_fingerprint(&op, &caps, dt_s, scheme) != recorded_key {
-                return false;
-            }
-            if engine
-                .cache()
-                .transient_operator(&op, &caps, dt_s, scheme)
-                .is_err()
-            {
-                return false;
-            }
-            engine.record_recipe(recorded_key, &plan, RecipeKind::Transient { dt_s, scheme });
-            true
-        }
-        Some("map") => {
-            let (nx, ny) = match (
-                entry.get("nx").and_then(Json::as_usize),
-                entry.get("ny").and_then(Json::as_usize),
-            ) {
-                (Some(nx), Some(ny)) if nx > 0 && ny > 0 => (nx, ny),
-                _ => return false,
-            };
-            if map_operator_fingerprint(&plan, lateral, z, nx, ny) != recorded_key {
-                return false;
-            }
-            engine.cache().map_operator(&plan, lateral, z, nx, ny);
-            engine.record_recipe(recorded_key, &plan, RecipeKind::Map { nx, ny });
-            true
-        }
-        _ => false,
-    }
+    Some(CacheRecipe { floorplan, kind })
 }
 
 #[cfg(test)]
@@ -497,6 +391,52 @@ mod tests {
         let report = warm(&fresh, &saved);
         assert_eq!(report.rebuilt, 0);
         assert_eq!(report.skipped, 3);
+    }
+
+    #[test]
+    fn manifest_lists_only_entries_the_caches_still_hold() {
+        // Six distinct one-block floorplans through capacity-2 caches:
+        // four steady operators are evicted, and their recipes go too.
+        let mut text = String::new();
+        for i in 0..6 {
+            let w = 0.1e-3 + 0.05e-3 * i as f64;
+            text.push_str(&format!(
+                concat!(
+                    r#"{{"type": "floorplan", "name": "p{i}", "blocks": [{{"name": "b", "cx": 0.5e-3, "cy": 0.5e-3, "w": {w:e}, "l": 0.2e-3, "power": 0.1}}]}}"#,
+                    "\n",
+                    r#"{{"type": "steady", "floorplan": "p{i}", "dynamic_w": 0.1, "leakage_w": 0.01}}"#,
+                    "\n",
+                ),
+                i = i,
+                w = w
+            ));
+        }
+        let request = parse_jsonl(&text).expect("valid request");
+        let engine = FleetEngineBuilder::new()
+            .threads(1)
+            .cache_capacity(2)
+            .request(&request)
+            .build()
+            .expect("valid configuration");
+        let report = engine.run(&request.jobs);
+        assert_eq!(report.ok_count(), 6);
+        assert_eq!(report.steady_cache.misses, 6);
+        assert_eq!(report.steady_cache.evictions, 4);
+        let entries = |m: &Json| m.get("entries").and_then(Json::as_array).map(<[Json]>::len);
+        let saved = manifest(&engine);
+        assert_eq!(entries(&saved), Some(2), "one entry per cached operator");
+        // Fingerprint-ordered, hence byte-stable.
+        assert_eq!(saved.render(), manifest(&engine).render());
+        let keys: Vec<u64> = saved
+            .get("entries")
+            .and_then(Json::as_array)
+            .expect("entries")
+            .iter()
+            .map(|e| e.get("fingerprint").and_then(from_hex_u64).expect("key"))
+            .collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]));
+        engine.cache().evict_all();
+        assert_eq!(entries(&manifest(&engine)), Some(0));
     }
 
     #[test]

@@ -235,13 +235,7 @@ impl Shared<'_> {
             .stats_json(
                 self.queue.depth(),
                 self.queue.capacity(),
-                &[
-                    ("steady", self.engine.cache().steady_stats()),
-                    ("transient", self.engine.cache().transient_stats()),
-                    ("map", self.engine.cache().map_stats()),
-                    ("spectral", self.engine.cache().spectral_stats()),
-                    ("results", self.engine.cache().result_stats()),
-                ],
+                &self.engine.cache().named_stats(),
             )
             .render()
     }
@@ -338,13 +332,7 @@ impl FleetServer {
             stats: self.metrics.stats_json(
                 0,
                 self.config.queue_capacity,
-                &[
-                    ("steady", self.engine.cache().steady_stats()),
-                    ("transient", self.engine.cache().transient_stats()),
-                    ("map", self.engine.cache().map_stats()),
-                    ("spectral", self.engine.cache().spectral_stats()),
-                    ("results", self.engine.cache().result_stats()),
-                ],
+                &self.engine.cache().named_stats(),
             ),
         })
     }

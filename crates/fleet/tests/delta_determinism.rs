@@ -1,15 +1,15 @@
 //! Determinism contract of the incremental `delta` path and the
-//! `envelope` job: the fingerprint-keyed result cache, retry jitter,
-//! eviction faults, and amortization toggles are all **bitwise
-//! invisible** in results. A cache miss falls back to a cold base
-//! solve whose fixed points — and therefore whose warm seeds — are
-//! identical to the cached ones, so hit, miss, eviction-mid-queue and
-//! cache-off runs all emit the same bytes.
+//! `envelope` job: the fingerprint-keyed result cache, retry jitter and
+//! eviction faults are all **bitwise invisible** in results. A cache
+//! miss falls back to a cold base solve whose fixed points — and
+//! therefore whose warm seeds — are identical to the cached ones, so
+//! hit, miss, eviction-mid-queue and fresh-engine-per-job runs all emit
+//! the same bytes.
 
 use ptherm_core::cosim::SweepOutcome;
 use ptherm_fleet::{
-    parse_jsonl, Fault, FaultPlan, FleetConfig, FleetEngineBuilder, FleetReport, JobReport,
-    RetryPolicy,
+    parse_jsonl, Fault, FaultPlan, FleetConfig, FleetEngineBuilder, FleetReport, JobRecord,
+    JobReport, RetryPolicy,
 };
 
 /// A named steady base plus two identical `delta` re-solves against
@@ -24,11 +24,10 @@ const DELTA_REQUEST: &str = r#"
 {"type": "envelope", "floorplan": "quad", "dynamic_w": 0.25, "leakage_w": 0.02, "axis": "vdd_scale", "lo": 0.5, "hi": 1.5, "tolerance": 0.01, "ambients_k": [300, 320]}
 "#;
 
-fn run(amortize: bool, faults: Option<FaultPlan>, retry: RetryPolicy) -> FleetReport {
+fn run(faults: Option<FaultPlan>, retry: RetryPolicy) -> FleetReport {
     let request = parse_jsonl(DELTA_REQUEST).expect("valid request");
     let config = FleetConfig {
         threads: 1,
-        amortize,
         retry,
         ..FleetConfig::default()
     };
@@ -40,8 +39,23 @@ fn run(amortize: bool, faults: Option<FaultPlan>, retry: RetryPolicy) -> FleetRe
     engine.run(&request.jobs)
 }
 
-fn delta_outcomes(report: &FleetReport, index: usize) -> (&[SweepOutcome], usize) {
-    match &report.jobs[index].outcome {
+/// Every job on a fresh engine: each delta solves its base cold.
+fn run_cold() -> Vec<JobRecord> {
+    let request = parse_jsonl(DELTA_REQUEST).expect("valid request");
+    (request.jobs.iter().enumerate())
+        .map(|(index, spec)| {
+            let engine = FleetEngineBuilder::new()
+                .threads(1)
+                .request(&request)
+                .build()
+                .expect("valid configuration");
+            engine.run_one(spec, index)
+        })
+        .collect()
+}
+
+fn delta_outcomes(jobs: &[JobRecord], index: usize) -> (&[SweepOutcome], usize) {
+    match &jobs[index].outcome {
         Ok(JobReport::Delta { report, seeded }) => (&report.outcomes, *seeded),
         other => panic!("job {index} is not a delta report: {other:?}"),
     }
@@ -52,10 +66,10 @@ fn delta_outcomes(report: &FleetReport, index: usize) -> (&[SweepOutcome], usize
 /// lane is seeded, and the seeded solve still converges everywhere.
 #[test]
 fn delta_jobs_run_end_to_end_and_seed_every_lane_from_the_base() {
-    let report = run(true, None, RetryPolicy::default());
+    let report = run(None, RetryPolicy::default());
     assert_eq!(report.ok_count(), 4);
     for index in [1, 2] {
-        let (outcomes, seeded) = delta_outcomes(&report, index);
+        let (outcomes, seeded) = delta_outcomes(&report.jobs, index);
         assert_eq!(outcomes.len(), 8, "2 vdd x 2 act x 2 ambient");
         assert_eq!(seeded, outcomes.len(), "every lane found a base seed");
         assert!(
@@ -73,9 +87,9 @@ fn delta_jobs_run_end_to_end_and_seed_every_lane_from_the_base() {
 /// actually diverged underneath.
 #[test]
 fn result_cache_hit_and_miss_are_bitwise_identical() {
-    let report = run(true, None, RetryPolicy::default());
-    let (miss, seeded_miss) = delta_outcomes(&report, 1);
-    let (hit, seeded_hit) = delta_outcomes(&report, 2);
+    let report = run(None, RetryPolicy::default());
+    let (miss, seeded_miss) = delta_outcomes(&report.jobs, 1);
+    let (hit, seeded_hit) = delta_outcomes(&report.jobs, 2);
     assert_eq!(miss, hit, "hit and miss emit the same bytes");
     assert_eq!(seeded_miss, seeded_hit);
     assert_eq!(report.result_cache.misses, 1, "job 1 solves the base cold");
@@ -87,13 +101,13 @@ fn result_cache_hit_and_miss_are_bitwise_identical() {
 /// result, so eviction can never change what a client reads.
 #[test]
 fn eviction_mid_queue_falls_back_to_a_bitwise_identical_cold_solve() {
-    let clean = run(true, None, RetryPolicy::default());
+    let clean = run(None, RetryPolicy::default());
     let faults = FaultPlan::new().inject(2, Fault::EvictCaches);
-    let evicted = run(true, Some(faults), RetryPolicy::default());
+    let evicted = run(Some(faults), RetryPolicy::default());
     assert_eq!(evicted.ok_count(), 4);
     assert_eq!(
-        delta_outcomes(&clean, 2),
-        delta_outcomes(&evicted, 2),
+        delta_outcomes(&clean.jobs, 2),
+        delta_outcomes(&evicted.jobs, 2),
         "post-eviction delta matches the cached-path bytes"
     );
     assert_eq!(
@@ -103,23 +117,21 @@ fn eviction_mid_queue_falls_back_to_a_bitwise_identical_cold_solve() {
     assert_eq!(evicted.result_cache.hits, 0);
 }
 
-/// `amortize(false)` disables the result cache entirely — every delta
-/// solves its base cold — and the outputs still match the amortized
-/// run byte for byte.
+/// A fresh engine per job — every delta solves its base cold, never
+/// from a cache another job filled — matches the shared-engine run
+/// byte for byte.
 #[test]
-fn cache_off_runs_match_the_amortized_bytes() {
-    let amortized = run(true, None, RetryPolicy::default());
-    let cold = run(false, None, RetryPolicy::default());
+fn fresh_engine_runs_match_the_shared_engine_bytes() {
+    let amortized = run(None, RetryPolicy::default());
+    let cold = run_cold();
     for index in [1, 2] {
         assert_eq!(
-            delta_outcomes(&amortized, index),
+            delta_outcomes(&amortized.jobs, index),
             delta_outcomes(&cold, index),
             "job {index}"
         );
     }
     assert_eq!(amortized.result_cache.misses, 1);
-    assert_eq!(cold.result_cache.misses, 0, "cache never consulted");
-    assert_eq!(cold.result_cache.hits, 0);
 }
 
 /// Retry jitter is timing, not physics: a delta that fails its first
@@ -127,7 +139,7 @@ fn cache_off_runs_match_the_amortized_bytes() {
 /// bitwise the same outcomes, under wildly different jitter seeds.
 #[test]
 fn retry_jitter_never_perturbs_delta_results() {
-    let clean = run(true, None, RetryPolicy::default());
+    let clean = run(None, RetryPolicy::default());
     for jitter_seed in [1, 0xDEAD_BEEF] {
         let retry = RetryPolicy {
             max_attempts: 3,
@@ -136,13 +148,13 @@ fn retry_jitter_never_perturbs_delta_results() {
             jitter_seed,
         };
         let faults = FaultPlan::new().inject(1, Fault::TransientFault);
-        let retried = run(true, Some(faults), retry);
+        let retried = run(Some(faults), retry);
         assert_eq!(retried.ok_count(), 4, "the fault is absorbed by retry");
         assert_eq!(retried.retry_count(), 1);
         for index in [1, 2] {
             assert_eq!(
-                delta_outcomes(&clean, index),
-                delta_outcomes(&retried, index),
+                delta_outcomes(&clean.jobs, index),
+                delta_outcomes(&retried.jobs, index),
                 "seed {jitter_seed:#x}, job {index}"
             );
         }
@@ -154,7 +166,7 @@ fn retry_jitter_never_perturbs_delta_results() {
 /// exhaustive march the report also prices.
 #[test]
 fn envelope_jobs_resolve_every_fiber_with_fewer_solves_than_exhaustive() {
-    let report = run(true, None, RetryPolicy::default());
+    let report = run(None, RetryPolicy::default());
     let envelope = match &report.jobs[3].outcome {
         Ok(JobReport::Envelope(e)) => e,
         other => panic!("job 3 is not an envelope report: {other:?}"),

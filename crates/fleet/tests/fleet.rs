@@ -6,7 +6,8 @@
 use proptest::prelude::*;
 use ptherm_core::cosim::{ThermalOperator, TransientError};
 use ptherm_fleet::{
-    parse_jsonl, CacheStats, FleetConfig, FleetEngineBuilder, JobReport, Lru, OperatorCache,
+    parse_jsonl, CacheStats, FleetConfig, FleetEngineBuilder, JobRecord, JobReport, Lru,
+    OperatorCache,
 };
 use ptherm_floorplan::{generator, ChipGeometry, Floorplan};
 use ptherm_math::ode::ImplicitScheme;
@@ -212,11 +213,11 @@ const FLEET_REQUEST: &str = r#"
 {"type": "steady", "floorplan": "c", "dynamic_w": 0.1, "leakage_w": 0.01, "activities": [0.5, 1.0]}
 "#;
 
-fn run_fleet(threads: usize, amortize: bool) -> ptherm_fleet::FleetReport {
-    let request = parse_jsonl(FLEET_REQUEST).expect("valid request");
+/// One engine with `threads` workers serving the whole request.
+fn run_request(request: &str, threads: usize) -> ptherm_fleet::FleetReport {
+    let request = parse_jsonl(request).expect("valid request");
     let config = FleetConfig {
         threads,
-        amortize,
         ..FleetConfig::default()
     };
     let engine = FleetEngineBuilder::new()
@@ -227,9 +228,29 @@ fn run_fleet(threads: usize, amortize: bool) -> ptherm_fleet::FleetReport {
     engine.run(&request.jobs)
 }
 
-fn assert_reports_bit_identical(a: &ptherm_fleet::FleetReport, b: &ptherm_fleet::FleetReport) {
-    assert_eq!(a.jobs.len(), b.jobs.len());
-    for (x, y) in a.jobs.iter().zip(&b.jobs) {
+/// The factor-per-job oracle: every job on a fresh engine, so each one
+/// builds its own operators.
+fn run_cold(request: &str) -> Vec<JobRecord> {
+    let request = parse_jsonl(request).expect("valid request");
+    (request.jobs.iter().enumerate())
+        .map(|(index, spec)| {
+            let engine = FleetEngineBuilder::new()
+                .threads(1)
+                .request(&request)
+                .build()
+                .expect("valid configuration");
+            engine.run_one(spec, index)
+        })
+        .collect()
+}
+
+fn run_fleet(threads: usize) -> ptherm_fleet::FleetReport {
+    run_request(FLEET_REQUEST, threads)
+}
+
+fn assert_reports_bit_identical(a: &[JobRecord], b: &[JobRecord]) {
+    assert_eq!(a.len(), b.len());
+    for (x, y) in a.iter().zip(b) {
         assert_eq!(x.index, y.index);
         match (&x.outcome, &y.outcome) {
             (Ok(JobReport::Steady(p)), Ok(JobReport::Steady(q))) => {
@@ -252,20 +273,20 @@ fn assert_reports_bit_identical(a: &ptherm_fleet::FleetReport, b: &ptherm_fleet:
 
 #[test]
 fn fleet_results_are_independent_of_thread_count() {
-    let serial = run_fleet(1, true);
+    let serial = run_fleet(1);
     assert_eq!(serial.jobs.len(), 7);
     assert_eq!(serial.ok_count(), 7);
     for threads in [2, 8] {
-        let parallel = run_fleet(threads, true);
-        assert_reports_bit_identical(&serial, &parallel);
+        let parallel = run_fleet(threads);
+        assert_reports_bit_identical(&serial.jobs, &parallel.jobs);
     }
 }
 
 #[test]
 fn cache_amortization_is_bitwise_invisible_in_results() {
-    let amortized = run_fleet(4, true);
-    let factor_per_job = run_fleet(4, false);
-    assert_reports_bit_identical(&amortized, &factor_per_job);
+    let amortized = run_fleet(4);
+    let factor_per_job = run_cold(FLEET_REQUEST);
+    assert_reports_bit_identical(&amortized.jobs, &factor_per_job);
     // But very visible in the counters: 3 distinct floorplans at one
     // image-order config = 3 steady builds; 4 steady-operator lookups
     // come from the 4 steady jobs and 3 more from the transient jobs
@@ -275,9 +296,6 @@ fn cache_amortization_is_bitwise_invisible_in_results() {
     assert_eq!(stats.hits + stats.misses, 7);
     // Transients: 3 distinct (floorplan, caps, dt, scheme) keys.
     assert_eq!(amortized.transient_cache.misses, 3);
-    // The cold run caches nothing.
-    assert_eq!(factor_per_job.steady_cache.hits, 0);
-    assert_eq!(factor_per_job.steady_cache.misses, 0);
 }
 
 #[test]
@@ -305,7 +323,7 @@ fn unknown_floorplan_is_a_per_job_error_not_a_panic() {
 
 #[test]
 fn result_lines_render_valid_json() {
-    let report = run_fleet(2, true);
+    let report = run_fleet(2);
     let request = parse_jsonl(FLEET_REQUEST).unwrap();
     for record in &report.jobs {
         let line = record.to_json(&request.jobs[record.index]).render();
@@ -324,24 +342,13 @@ const MAP_REQUEST: &str = r#"
 {"type": "steady", "floorplan": "a", "dynamic_w": 0.3, "leakage_w": 0.03}
 "#;
 
-fn run_map_fleet(threads: usize, amortize: bool) -> ptherm_fleet::FleetReport {
-    let request = parse_jsonl(MAP_REQUEST).expect("valid request");
-    let config = FleetConfig {
-        threads,
-        amortize,
-        ..FleetConfig::default()
-    };
-    let engine = FleetEngineBuilder::new()
-        .config(config)
-        .request(&request)
-        .build()
-        .expect("valid configuration");
-    engine.run(&request.jobs)
+fn run_map_fleet(threads: usize) -> ptherm_fleet::FleetReport {
+    run_request(MAP_REQUEST, threads)
 }
 
 #[test]
-fn map_jobs_run_end_to_end_and_amortize_the_kernel_cache() {
-    let amortized = run_map_fleet(4, true);
+fn map_jobs_run_end_to_end_and_share_the_kernel_cache() {
+    let amortized = run_map_fleet(4);
     assert_eq!(amortized.ok_count(), 4);
     // Two map jobs share floorplan "a" at the same 16x16 grid: one
     // kernel build, one hit; floorplan "b" at 12x10 is its own build.
@@ -367,22 +374,20 @@ fn map_jobs_run_end_to_end_and_amortize_the_kernel_cache() {
         }
     }
     // Amortization is bitwise invisible in the results themselves.
-    let cold = run_map_fleet(4, false);
-    assert_reports_bit_identical(&amortized, &cold);
-    assert_eq!(cold.map_cache, CacheStats::default());
+    assert_reports_bit_identical(&amortized.jobs, &run_cold(MAP_REQUEST));
 }
 
 #[test]
 fn map_fleet_results_are_independent_of_thread_count() {
-    let serial = run_map_fleet(1, true);
+    let serial = run_map_fleet(1);
     for threads in [2, 8] {
-        assert_reports_bit_identical(&serial, &run_map_fleet(threads, true));
+        assert_reports_bit_identical(&serial.jobs, &run_map_fleet(threads).jobs);
     }
 }
 
 #[test]
 fn map_result_lines_carry_the_grid() {
-    let report = run_map_fleet(2, true);
+    let report = run_map_fleet(2);
     let request = parse_jsonl(MAP_REQUEST).unwrap();
     for record in &report.jobs {
         let line = record.to_json(&request.jobs[record.index]).render();
@@ -430,25 +435,14 @@ const SPECTRAL_REQUEST: &str = r#"
 {"type": "steady", "floorplan": "g", "dynamic_w": 0.3, "leakage_w": 0.03, "backend": "dense", "vdd_scales": [0.9, 1.0, 1.1]}
 "#;
 
-fn run_spectral_fleet(threads: usize, amortize: bool) -> ptherm_fleet::FleetReport {
-    let request = parse_jsonl(SPECTRAL_REQUEST).expect("valid request");
-    let config = FleetConfig {
-        threads,
-        amortize,
-        ..FleetConfig::default()
-    };
-    let engine = FleetEngineBuilder::new()
-        .config(config)
-        .request(&request)
-        .build()
-        .expect("valid configuration");
-    engine.run(&request.jobs)
+fn run_spectral_fleet(threads: usize) -> ptherm_fleet::FleetReport {
+    run_request(SPECTRAL_REQUEST, threads)
 }
 
 #[test]
 fn spectral_jobs_are_bitwise_invariant_across_cache_state_and_threads() {
     use ptherm_core::cosim::SweepBackend;
-    let cached = run_spectral_fleet(1, true);
+    let cached = run_spectral_fleet(1);
     assert_eq!(cached.ok_count(), 3);
     // The two identical spectral jobs share one cached build; the dense
     // job never touches the spectral cache.
@@ -466,14 +460,8 @@ fn spectral_jobs_are_bitwise_invariant_across_cache_state_and_threads() {
     assert_eq!(a.outcomes, b.outcomes);
     // ...and cold (per-job build) and threaded runs are bitwise equal
     // to the cached serial run.
-    for report in [
-        run_spectral_fleet(1, false),
-        run_spectral_fleet(4, true),
-        run_spectral_fleet(4, false),
-    ] {
-        assert_reports_bit_identical(&cached, &report);
-    }
-    assert_eq!(run_spectral_fleet(1, false).spectral_cache.misses, 0);
+    assert_reports_bit_identical(&cached.jobs, &run_cold(SPECTRAL_REQUEST));
+    assert_reports_bit_identical(&cached.jobs, &run_spectral_fleet(4).jobs);
     // Result lines carry the backend that actually ran.
     let request = parse_jsonl(SPECTRAL_REQUEST).unwrap();
     let line = cached.jobs[0].to_json(&request.jobs[0]).render();
