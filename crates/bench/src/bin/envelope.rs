@@ -46,18 +46,17 @@ fn main() {
 /// The bench engine: paper floorplan, iteration budget raised so
 /// probes that land near the boundary (critical slowing down) still
 /// classify instead of timing out.
-fn engine(warm: bool) -> SweepEngine {
+fn engine() -> SweepEngine {
     SweepEngine::new(Floorplan::paper_three_blocks())
         .threads(ptherm_par::default_threads())
-        .warm_start(warm)
         .configure(|s| s.max_iterations = 2000)
 }
 
 /// The warm-vs-cold engines additionally tighten the Picard tolerance
 /// far below the 1e-9 K agreement gate, so warm/cold disagreement
 /// would be a real seeding bug rather than loop-exit truncation.
-fn tight_engine(warm: bool) -> SweepEngine {
-    engine(warm).configure(|s| s.tolerance_k = 1e-10)
+fn tight_engine() -> SweepEngine {
+    engine().configure(|s| s.tolerance_k = 1e-10)
 }
 
 fn grid(vdd: Vec<f64>, activities: Vec<f64>, ambients: Vec<f64>) -> ScenarioGrid {
@@ -108,13 +107,13 @@ fn bench(quick: bool) -> i32 {
         .map(|i| 0.8 + i as f64 * (1.7 - 0.8) / (cfg.warm_vdd_points - 1) as f64)
         .collect();
     let warm_grid = grid(vdd, vec![0.5, 1.0], vec![300.0, 330.0]);
-    let cold_engine = tight_engine(false);
+    let cold_engine = tight_engine();
     let model = cold_engine.uniform_tech_power(DYNAMIC_W, LEAKAGE_W);
     let t0 = Instant::now();
-    let cold = cold_engine.run(&warm_grid, &model);
+    let cold = cold_engine.sweep(&warm_grid, &model, RunOptions::new());
     let cold_wall_s = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
-    let warm = tight_engine(true).run(&warm_grid, &model);
+    let warm = tight_engine().sweep(&warm_grid, &model, RunOptions::new().warm_start(true));
     let warm_wall_s = t0.elapsed().as_secs_f64();
 
     let total_iterations = |report: &ptherm_core::cosim::SweepReport| {
@@ -162,7 +161,7 @@ fn bench(quick: bool) -> i32 {
         hi: HI,
         tolerance: cfg.tolerance,
     };
-    let envelope_engine = engine(false);
+    let envelope_engine = engine();
     let t0 = Instant::now();
     let envelope = envelope_engine
         .map_envelope(&fiber_grid, &model, &spec, RunOptions::new())
@@ -186,7 +185,7 @@ fn bench(quick: bool) -> i32 {
             vec![fiber.scenario.activity],
             vec![fiber.scenario.ambient_k],
         );
-        let oracle = envelope_engine.run(&march_grid, &model);
+        let oracle = envelope_engine.sweep(&march_grid, &model, RunOptions::new());
         marched_fibers += 1;
         let crossing = oracle
             .outcomes

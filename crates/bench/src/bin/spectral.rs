@@ -26,7 +26,7 @@
 //! CI by `benchcheck` against `ci/bench_bounds.quick.json`.
 
 use ptherm_bench::{header, report, JsonObject, ShapeCheck, Table};
-use ptherm_core::cosim::{ScenarioGrid, SweepBackend, SweepEngine, SweepOutcome};
+use ptherm_core::cosim::{RunOptions, ScenarioGrid, SweepBackend, SweepEngine, SweepOutcome};
 use ptherm_floorplan::{generator, ChipGeometry, Floorplan};
 use ptherm_tech::Technology;
 use std::time::Instant;
@@ -114,7 +114,7 @@ fn main() {
         let mut sweep_s = f64::INFINITY;
         for _ in 0..TIMED_RUNS {
             let t0 = Instant::now();
-            let rep = engine.run(&grid, &model);
+            let rep = engine.sweep(&grid, &model, RunOptions::new());
             sweep_s = sweep_s.min(t0.elapsed().as_secs_f64());
             all_converged &= rep.converged_count() == rep.len();
             peak_k = rep.max_peak_temperature().unwrap_or(f64::NAN);
@@ -153,7 +153,7 @@ fn main() {
     let mut dense_sweep_s = f64::INFINITY;
     for _ in 0..TIMED_RUNS.min(3) {
         let t0 = Instant::now();
-        dense_engine.run(&grid, &dense_model);
+        dense_engine.sweep(&grid, &dense_model, RunOptions::new());
         dense_sweep_s = dense_sweep_s.min(t0.elapsed().as_secs_f64());
     }
     let (largest_blocks, spectral_build_largest_s, spectral_sweep_largest_s) =
@@ -188,8 +188,8 @@ fn main() {
     let model_d = dense_check
         .uniform_tech_power(0.3, 0.03)
         .prepared_for(&grid);
-    let rep_s = spectral_check.run(&grid, &model_s);
-    let rep_d = dense_check.run(&grid, &model_d);
+    let rep_s = spectral_check.sweep(&grid, &model_s, RunOptions::new());
+    let rep_d = dense_check.sweep(&grid, &model_d, RunOptions::new());
     let mut max_gap_k = 0.0f64;
     let mut kinds_match = rep_s.outcomes.len() == rep_d.outcomes.len();
     for (s, d) in rep_s.outcomes.iter().zip(&rep_d.outcomes) {

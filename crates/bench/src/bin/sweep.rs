@@ -11,7 +11,7 @@
 //! 2. **per-scenario engine** — the PR 1 design: one precomputed
 //!    [`ThermalOperator`], scenarios solved one at a time
 //!    ([`SweepEngine::run_per_scenario`], kept as the exact oracle),
-//! 3. **batched engine** — [`SweepEngine::run`]: B scenarios per Picard
+//! 3. **batched engine** — [`SweepEngine::sweep`]: B scenarios per Picard
 //!    step through one `n×n · n×B` product, lane refill, batched
 //!    exponentials.
 //!
@@ -24,7 +24,9 @@
 //! `docs/PERFORMANCE.md`; override either path with `BENCH_SWEEP_JSON`).
 
 use ptherm_bench::{header, report, JsonObject, ShapeCheck, Table};
-use ptherm_core::cosim::sweep::{ScenarioGrid, ScenarioPowerModel, SweepEngine, SweepOutcome};
+use ptherm_core::cosim::sweep::{
+    RunOptions, ScenarioGrid, ScenarioPowerModel, SweepEngine, SweepOutcome,
+};
 use ptherm_core::cosim::{ElectroThermalSolver, ThermalOperator};
 use ptherm_floorplan::{generator, ChipGeometry, Floorplan};
 use ptherm_tech::ScalingTable;
@@ -150,10 +152,10 @@ fn main() {
 
     // --- batched engine -------------------------------------------------
     let mut batched_s = f64::INFINITY;
-    let mut batched_report = engine.run(&grid, &model); // warm-up
+    let mut batched_report = engine.sweep(&grid, &model, RunOptions::new()); // warm-up
     for _ in 0..TIMED_RUNS {
         let t0 = Instant::now();
-        batched_report = engine.run(&grid, &model);
+        batched_report = engine.sweep(&grid, &model, RunOptions::new());
         batched_s = batched_s.min(t0.elapsed().as_secs_f64());
     }
     let batched_ns_per_solve = (batched_s * 1e9) as u64 / scenarios_total as u64;

@@ -1,5 +1,5 @@
 //! Transient-engine throughput: the chip-scale batched implicit
-//! electro-thermal transient ([`SweepEngine::run_transient`]) against the
+//! electro-thermal transient ([`SweepEngine::transient`]) against the
 //! per-scenario explicit RK4 reference, with a machine-readable
 //! `BENCH_transient.json` for the perf trajectory.
 //!
@@ -24,7 +24,7 @@
 //! path with `BENCH_TRANSIENT_JSON`). Schema in `docs/PERFORMANCE.md`.
 
 use ptherm_bench::{header, report, JsonObject, ShapeCheck, Table};
-use ptherm_core::cosim::sweep::{ScenarioGrid, SweepEngine};
+use ptherm_core::cosim::sweep::{RunOptions, ScenarioGrid, SweepEngine};
 use ptherm_core::cosim::transient::{DriveWaveform, TransientConfig, TransientRk4Reference};
 use ptherm_core::cosim::ThermalOperator;
 use ptherm_core::thermal::capacitance::silicon_block_capacitances;
@@ -98,7 +98,7 @@ fn main() {
                            _: usize,
                            _: f64| { p_step };
     let one_report = one_engine
-        .run_transient(&one_grid, &flat_power, &analytic_cfg)
+        .transient(&one_grid, &flat_power, &analytic_cfg, RunOptions::new())
         .expect("valid transient");
     let mut analytic_gap_rel: f64 = 0.0;
     let mut lumped_gap_rel: f64 = 0.0;
@@ -182,12 +182,12 @@ fn main() {
     const TIMED_RUNS: usize = 3;
     let mut implicit_s = f64::INFINITY;
     let mut implicit_report = engine
-        .run_transient(&grid, &model, &run_cfg)
+        .transient(&grid, &model, &run_cfg, RunOptions::new())
         .expect("valid transient"); // warm-up
     for _ in 0..TIMED_RUNS {
         let t0 = Instant::now();
         implicit_report = engine
-            .run_transient(&grid, &model, &run_cfg)
+            .transient(&grid, &model, &run_cfg, RunOptions::new())
             .expect("valid transient");
         implicit_s = implicit_s.min(t0.elapsed().as_secs_f64());
     }

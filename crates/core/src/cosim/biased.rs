@@ -243,7 +243,7 @@ impl BatchPowerModel for BiasedTechBatch<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cosim::sweep::{SweepEngine, SweepOutcome};
+    use crate::cosim::sweep::{RunOptions, SweepEngine, SweepOutcome};
 
     fn grid() -> ScenarioGrid {
         ScenarioGrid::new(vec![Technology::cmos_120nm()])
@@ -332,7 +332,7 @@ mod tests {
             DEFAULT_BIAS_THETA_K,
         )
         .prepared_for(&grid);
-        let batched = engine.run(&grid, &model);
+        let batched = engine.sweep(&grid, &model, RunOptions::new());
         let oracle = engine.run_per_scenario(&grid, &model);
         assert_eq!(batched.len(), oracle.len());
         for (b, o) in batched.outcomes.iter().zip(oracle.outcomes.iter()) {
@@ -376,12 +376,20 @@ mod tests {
             .vdd_scales((0..12).map(|i| 1.0 + 0.25 * i as f64).collect());
         let flat = engine.uniform_tech_power(1.0, 0.2);
         let biased = BiasedTechPower::new(flat.clone(), 40.0);
-        let flat_runaways = engine.run(&grid, &flat).outcomes.iter().fold(0, |n, o| {
-            n + matches!(o, SweepOutcome::Runaway { .. }) as usize
-        });
-        let biased_runaways = engine.run(&grid, &biased).outcomes.iter().fold(0, |n, o| {
-            n + matches!(o, SweepOutcome::Runaway { .. }) as usize
-        });
+        let flat_runaways = engine
+            .sweep(&grid, &flat, RunOptions::new())
+            .outcomes
+            .iter()
+            .fold(0, |n, o| {
+                n + matches!(o, SweepOutcome::Runaway { .. }) as usize
+            });
+        let biased_runaways = engine
+            .sweep(&grid, &biased, RunOptions::new())
+            .outcomes
+            .iter()
+            .fold(0, |n, o| {
+                n + matches!(o, SweepOutcome::Runaway { .. }) as usize
+            });
         assert!(
             biased_runaways >= flat_runaways,
             "biased {biased_runaways} < flat {flat_runaways}"

@@ -493,9 +493,7 @@ impl SweepEngine {
                     model.block_power(s, &techs[s.tech_index], block, t)
                 }))
             },
-            opts.cancel,
-            opts.operator,
-            opts.backend,
+            opts,
             WarmMode::Cold,
         );
         report.outcomes
@@ -599,9 +597,10 @@ mod tests {
         let values: Vec<f64> = (0..=steps)
             .map(|i| lo + (hi - lo) * i as f64 / steps as f64)
             .collect();
-        let scan = engine.run(
+        let scan = engine.sweep(
             &ScenarioGrid::new(vec![Technology::cmos_120nm()]).vdd_scales(values.clone()),
             &power,
+            RunOptions::new(),
         );
         let last_converged = values
             .iter()

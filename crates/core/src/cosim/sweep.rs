@@ -10,7 +10,7 @@
 //!    every scenario (and every thread),
 //! 2. each scenario solve is independent — worker threads pull scenario
 //!    indices from one shared cursor, and
-//! 3. the per-iteration work is **batchable** — [`SweepEngine::run`]
+//! 3. the per-iteration work is **batchable** — [`SweepEngine::sweep`]
 //!    advances [`SweepEngine::batch_lanes`] scenarios per Picard step
 //!    through the GEMM-batched [`BatchedSolver`], refilling lanes as
 //!    scenarios resolve, with the power law's exponentials evaluated in
@@ -28,7 +28,7 @@
 //! # Example: a Vdd × activity grid on the paper floorplan
 //!
 //! ```
-//! use ptherm_core::cosim::sweep::{ScenarioGrid, SweepEngine};
+//! use ptherm_core::cosim::sweep::{RunOptions, ScenarioGrid, SweepEngine};
 //! use ptherm_floorplan::Floorplan;
 //! use ptherm_tech::Technology;
 //!
@@ -38,7 +38,7 @@
 //!     .activities(vec![0.5, 1.0])
 //!     .ambients_k(vec![300.0, 350.0]);
 //! let model = engine.uniform_tech_power(0.25, 0.02);
-//! let report = engine.run(&grid, &model);
+//! let report = engine.sweep(&grid, &model, RunOptions::new());
 //! assert_eq!(report.len(), 12);
 //! assert!(report.converged_count() > 0);
 //! ```
@@ -200,7 +200,7 @@ impl ScenarioGrid {
     /// The scenario at position `index` of the enumeration order —
     /// random access by mixed-radix decode, no materialization.
     /// `default_ambient_k` fills the ambient axis when none was set —
-    /// [`SweepEngine::run`] passes the floorplan's sink temperature.
+    /// [`SweepEngine::sweep`] passes the floorplan's sink temperature.
     ///
     /// # Panics
     ///
@@ -869,7 +869,7 @@ impl fmt::Display for SweepReport {
 #[derive(Debug, Clone)]
 pub struct MapOutcome {
     /// Block-level fixed-point outcome (identical to what
-    /// [`SweepEngine::run`] would report for this scenario).
+    /// [`SweepEngine::sweep`] would report for this scenario).
     pub outcome: SweepOutcome,
     /// Absolute tile temperatures (row-major `nx × ny`, K); present
     /// exactly when the scenario converged.
@@ -940,8 +940,8 @@ impl fmt::Display for MapReport {
 
 /// Batched, parallel sweep driver for one floorplan.
 ///
-/// Construction precomputes the [`ThermalOperator`]; [`SweepEngine::run`]
-/// then shards the scenario stream across worker threads, each advancing
+/// Operators build lazily on first use (or are adopted from a cache);
+/// [`SweepEngine::sweep`] then shards the scenario stream across worker threads, each advancing
 /// a [`BatchedSolver`] batch of [`Self::batch_lanes`] scenarios per
 /// Picard step and refilling lanes from a shared cursor as scenarios
 /// resolve. See the [module docs](self) for the full picture and
@@ -958,10 +958,8 @@ pub struct SweepEngine {
     /// Lazily built spectral twin (see [`SpectralOperator`]).
     spectral: OnceLock<Arc<SpectralOperator>>,
     backend: SweepBackend,
-    spectral_tolerance: f64,
     threads: usize,
     batch_lanes: usize,
-    warm_start: bool,
 }
 
 /// Default batch width: wide enough to amortize every influence-matrix
@@ -992,7 +990,7 @@ pub enum SweepBackend {
     /// and the correctness oracle.
     Dense,
     /// The `O(N log N)` scatter → FFT → sample path. Requires a
-    /// grid-coincident floorplan; [`SweepEngine::run`] panics otherwise
+    /// grid-coincident floorplan; [`SweepEngine::sweep`] panics otherwise
     /// (the fleet layer pre-validates and reports the typed
     /// [`SpectralGridError`] instead).
     Spectral,
@@ -1033,17 +1031,15 @@ impl fmt::Display for SweepBackend {
     }
 }
 
-/// Per-call options for the unified [`SweepEngine`] entry points
-/// ([`SweepEngine::sweep`], [`SweepEngine::transient`],
-/// [`SweepEngine::map`]).
+/// Per-call options for the [`SweepEngine`] entry points
+/// ([`SweepEngine::sweep`], [`SweepEngine::sweep_seeded`],
+/// [`SweepEngine::map`], [`SweepEngine::transient`] and
+/// [`SweepEngine::map_envelope`]).
 ///
-/// Historically every workload grew its own method ladder (`run` /
-/// `run_with` / `run_with_cancel` × steady/transient/map) and each new
-/// orthogonal knob doubled it. `RunOptions` collapses the ladder: one
-/// entry point per workload, with cancellation, an already-built
-/// operator (the cache-amortized path) and a backend override all
-/// optional and composable. The legacy names survive as one-line
-/// wrappers over these entry points.
+/// One entry point per workload, with cancellation, an already-built
+/// operator (the cache-amortized path) and warm-start chaining all
+/// optional and composable. Engine-wide configuration — backend,
+/// threads, batch width, solver settings — lives on the engine.
 ///
 /// `Op` is the workload's operator type: [`Arc<ThermalOperator>`] for
 /// steady sweeps, [`TransientOperator`] for transients,
@@ -1052,7 +1048,7 @@ impl fmt::Display for SweepBackend {
 /// # Example
 ///
 /// ```no_run
-/// # use ptherm_core::cosim::{RunOptions, SweepBackend, SweepEngine, ScenarioGrid};
+/// # use ptherm_core::cosim::{RunOptions, SweepEngine, ScenarioGrid};
 /// # use ptherm_par::CancelToken;
 /// # fn demo(engine: &SweepEngine, grid: &ScenarioGrid) {
 /// let power = engine.uniform_tech_power(40.0, 8.0);
@@ -1060,9 +1056,7 @@ impl fmt::Display for SweepBackend {
 /// let report = engine.sweep(
 ///     grid,
 ///     &power,
-///     RunOptions::new()
-///         .cancel(&token)
-///         .backend(SweepBackend::Dense),
+///     RunOptions::new().cancel(&token).warm_start(true),
 /// );
 /// # let _ = report;
 /// # }
@@ -1078,17 +1072,23 @@ pub struct RunOptions<'a, Op> {
     /// bug). `None` builds (or reuses the engine's lazily built)
     /// operator.
     pub operator: Option<&'a Op>,
-    /// Backend override for this call only (steady sweeps and the
-    /// Picard phase of map renders; transients always step through the
-    /// dense-factored propagator). `None` uses the engine's configured
-    /// backend.
-    pub backend: Option<SweepBackend>,
-    /// Warm-start override for this call only (steady sweeps; ignored
-    /// by transients and map renders). `Some(true)` chains scenario
-    /// seeds along the grid's innermost axis (see
-    /// [`SweepEngine::warm_start`]), `Some(false)` forces cold starts,
-    /// `None` uses the engine's configured mode.
-    pub warm_start: Option<bool>,
+    /// Warm-started chaining for [`SweepEngine::sweep`] (default off;
+    /// ignored by every other entry point). When on, the grid is
+    /// partitioned into chains along its innermost non-trivial axis
+    /// and each scenario's initial temperature vector is seeded from
+    /// the most recently **converged** predecessor in its chain
+    /// (non-converged links keep the last good seed; the chain head
+    /// starts cold at ambient). Seeds are clamped to the lane ambient
+    /// per block, so the warm orbit starts inside `[ambient, T*]` and
+    /// reaches the same fixed point as a cold run —
+    /// `tests/warm_start_validation.rs` pins agreement and
+    /// never-more-iterations on converged lanes.
+    ///
+    /// Chain identity depends only on the scenario index, and every
+    /// chain is driven by exactly one worker in index order, so warm
+    /// results stay bitwise invariant across thread counts and batch
+    /// widths — the same contract cold sweeps honour.
+    pub warm_start: bool,
 }
 
 impl<Op> Default for RunOptions<'_, Op> {
@@ -1096,8 +1096,7 @@ impl<Op> Default for RunOptions<'_, Op> {
         RunOptions {
             cancel: None,
             operator: None,
-            backend: None,
-            warm_start: None,
+            warm_start: false,
         }
     }
 }
@@ -1117,7 +1116,6 @@ impl<Op> fmt::Debug for RunOptions<'_, Op> {
         f.debug_struct("RunOptions")
             .field("cancel", &self.cancel.is_some())
             .field("operator", &self.operator.is_some())
-            .field("backend", &self.backend)
             .field("warm_start", &self.warm_start)
             .finish()
     }
@@ -1125,7 +1123,7 @@ impl<Op> fmt::Debug for RunOptions<'_, Op> {
 
 impl<'a, Op> RunOptions<'a, Op> {
     /// All-defaults options: no cancellation, self-built operator,
-    /// engine-configured backend.
+    /// cold starts.
     pub fn new() -> Self {
         Self::default()
     }
@@ -1144,19 +1142,11 @@ impl<'a, Op> RunOptions<'a, Op> {
         self
     }
 
-    /// Overrides the backend for this call (see
-    /// [`RunOptions::backend`]).
-    #[must_use]
-    pub fn backend(mut self, backend: SweepBackend) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
-    /// Overrides warm-start chaining for this call (see
+    /// Turns warm-start chaining on or off (see
     /// [`RunOptions::warm_start`]).
     #[must_use]
     pub fn warm_start(mut self, warm: bool) -> Self {
-        self.warm_start = Some(warm);
+        self.warm_start = warm;
         self
     }
 }
@@ -1210,10 +1200,8 @@ impl SweepEngine {
             operator: OnceLock::new(),
             spectral: OnceLock::new(),
             backend: SweepBackend::Auto,
-            spectral_tolerance: DEFAULT_REFINEMENT_TOLERANCE,
             threads: ptherm_par::default_threads(),
             batch_lanes: DEFAULT_BATCH_LANES,
-            warm_start: false,
         }
     }
 
@@ -1221,28 +1209,23 @@ impl SweepEngine {
     /// operator — the cache-amortized construction path: a fleet-level
     /// [`ThermalOperator`] cache builds (or recalls) the operator once
     /// per floorplan fingerprint and hands it to every job's engine,
-    /// skipping the dominant cold cost of [`Self::with_solver`].
+    /// skipping the dominant cold cost of [`Self::with_solver`]. The
+    /// backend is pinned to [`SweepBackend::Dense`] (the mirror of
+    /// [`Self::with_spectral_operator`]), so the adopted operator is the
+    /// one every sweep runs on, whatever the floorplan's size.
     ///
     /// The operator must have been built at the solver's floorplan and
-    /// image orders; results are then bit-identical to an engine that
-    /// built its own (the build is deterministic).
+    /// image orders; results are then bit-identical to a dense engine
+    /// that built its own (the build is deterministic).
     ///
     /// # Panics
     ///
-    /// Panics if the operator's block count or fingerprint does not
-    /// match what the solver would build, so a cache bug surfaces here
-    /// rather than as silently wrong temperatures.
+    /// Panics if the operator's fingerprint does not match what the
+    /// solver would build, so a cache bug surfaces here rather than as
+    /// silently wrong temperatures.
     pub fn with_operator(solver: ElectroThermalSolver, operator: Arc<ThermalOperator>) -> Self {
-        assert_eq!(
-            operator.fingerprint(),
-            crate::cosim::operator_fingerprint(
-                solver.floorplan(),
-                solver.lateral_order,
-                solver.z_order
-            ),
-            "operator/solver fingerprint mismatch"
-        );
-        let engine = Self::with_solver(solver);
+        let engine = Self::with_solver(solver).backend(SweepBackend::Dense);
+        engine.check_dense_operator(&operator);
         let _ = engine.operator.set(operator);
         engine
     }
@@ -1250,8 +1233,7 @@ impl SweepEngine {
     /// Engine around a configured solver and an **already built**
     /// spectral operator — the cache-amortized spectral construction
     /// path, mirroring [`Self::with_operator`]. The backend is pinned to
-    /// [`SweepBackend::Spectral`] and the engine adopts the operator's
-    /// refinement tolerance.
+    /// [`SweepBackend::Spectral`].
     ///
     /// # Panics
     ///
@@ -1275,11 +1257,24 @@ impl SweepEngine {
             ),
             "spectral operator/solver fingerprint mismatch"
         );
-        let mut engine = Self::with_solver(solver);
-        engine.backend = SweepBackend::Spectral;
-        engine.spectral_tolerance = operator.tolerance();
+        let engine = Self::with_solver(solver).backend(SweepBackend::Spectral);
         let _ = engine.spectral.set(operator);
         engine
+    }
+
+    /// Panics unless `operator` is the dense operator this engine's
+    /// solver would build — a cache-keying bug caught before it can
+    /// produce silently wrong temperatures.
+    fn check_dense_operator(&self, operator: &ThermalOperator) {
+        assert_eq!(
+            operator.fingerprint(),
+            crate::cosim::operator_fingerprint(
+                self.solver.floorplan(),
+                self.solver.lateral_order,
+                self.solver.z_order
+            ),
+            "operator/solver fingerprint mismatch"
+        );
     }
 
     /// Sets the worker-thread count (1 = run inline, still batched).
@@ -1300,15 +1295,6 @@ impl SweepEngine {
         self
     }
 
-    /// Sets the spectral backend's near-field rasterization tolerance
-    /// (K per W; see [`SpectralOperator`]). Takes effect on the next
-    /// spectral-operator build — a no-op once one is built or injected.
-    #[must_use]
-    pub fn spectral_tolerance(mut self, tolerance: f64) -> Self {
-        self.spectral_tolerance = tolerance;
-        self
-    }
-
     /// Sets the scenarios-per-batch width of the GEMM-batched hot path
     /// (1 = scalar-shaped batches, still through the batched solver).
     /// Results are bitwise identical across widths: every lane runs the
@@ -1316,27 +1302,6 @@ impl SweepEngine {
     #[must_use]
     pub fn batch_lanes(mut self, lanes: usize) -> Self {
         self.batch_lanes = lanes.max(1);
-        self
-    }
-
-    /// Enables warm-started sweeps (default off). When on,
-    /// [`Self::sweep`] partitions the grid into chains along its
-    /// innermost non-trivial axis and seeds each scenario's initial
-    /// temperature vector from the most recently **converged**
-    /// predecessor in its chain (non-converged links keep the last good
-    /// seed; the chain head starts cold at ambient). Seeds are clamped
-    /// to the lane ambient per block, so the warm orbit starts inside
-    /// `[ambient, T*]` and reaches the same fixed point as a cold run —
-    /// `tests/warm_start_validation.rs` pins agreement and
-    /// never-more-iterations on converged lanes.
-    ///
-    /// Chain identity depends only on the scenario index, and every
-    /// chain is driven by exactly one worker in index order, so warm
-    /// results stay bitwise invariant across thread counts and batch
-    /// widths — the same contract cold sweeps honour.
-    #[must_use]
-    pub fn warm_start(mut self, warm: bool) -> Self {
-        self.warm_start = warm;
         self
     }
 
@@ -1371,7 +1336,10 @@ impl SweepEngine {
             .get_or_init(|| Arc::new(self.solver.operator()))
     }
 
-    /// The spectral influence operator, building it on first call.
+    /// The spectral influence operator, building it on first call at
+    /// the default refinement tolerance
+    /// ([`DEFAULT_REFINEMENT_TOLERANCE`]; an operator adopted through
+    /// [`Self::with_spectral_operator`] keeps its own).
     ///
     /// # Errors
     ///
@@ -1385,7 +1353,7 @@ impl SweepEngine {
             self.solver.floorplan(),
             self.solver.lateral_order,
             self.solver.z_order,
-            self.spectral_tolerance,
+            DEFAULT_REFINEMENT_TOLERANCE,
             self.threads,
         )?);
         // A concurrent initializer winning the race is fine: same
@@ -1393,8 +1361,9 @@ impl SweepEngine {
         Ok(self.spectral.get_or_init(|| built))
     }
 
-    /// The backend [`Self::run`] will actually use: the configured
-    /// backend [resolved](SweepBackend::resolve) against this engine's
+    /// The backend every steady sweep, map Picard phase and envelope
+    /// probe of this engine runs on: the configured backend
+    /// [resolved](SweepBackend::resolve) against this engine's
     /// floorplan.
     pub fn resolved_backend(&self) -> SweepBackend {
         self.backend.resolve(self.solver.floorplan())
@@ -1411,7 +1380,7 @@ impl SweepEngine {
     }
 
     /// Sweeps a scenario grid under a power model through the
-    /// GEMM-batched hot path — the unified steady entry point.
+    /// GEMM-batched hot path — the steady entry point.
     ///
     /// A grid without an explicit ambient axis inherits this engine's
     /// floorplan sink temperature, matching one-shot solves. Workers
@@ -1433,53 +1402,28 @@ impl SweepEngine {
     /// * `operator` — an already-built dense [`ThermalOperator`]
     ///   handle to replay (the cache-amortized path; fingerprint
     ///   checked). Ignored when the resolved backend is spectral.
-    /// * `backend` — per-call override of the engine's configured
-    ///   backend.
+    /// * `warm_start` — chain scenario seeds along the grid's
+    ///   innermost non-trivial axis (see [`RunOptions::warm_start`]).
     ///
     /// # Panics
     ///
-    /// Panics on an operator fingerprint mismatch, or when the
-    /// (possibly overridden) backend is explicitly
-    /// [`SweepBackend::Spectral`] on a non-grid-coincident floorplan.
-    /// Callers that need a typed failure (the fleet) pre-validate with
-    /// [`infer_grid`].
+    /// Panics on an operator fingerprint mismatch, or when the backend
+    /// is explicitly [`SweepBackend::Spectral`] on a
+    /// non-grid-coincident floorplan. Callers that need a typed failure
+    /// (the fleet) pre-validate with [`infer_grid`].
     pub fn sweep<M: ScenarioPowerModel>(
         &self,
         grid: &ScenarioGrid,
         model: &M,
         opts: RunOptions<'_, Arc<ThermalOperator>>,
     ) -> SweepReport {
-        if let Some(op) = opts.operator {
-            assert_eq!(
-                op.fingerprint(),
-                crate::cosim::operator_fingerprint(
-                    self.solver.floorplan(),
-                    self.solver.lateral_order,
-                    self.solver.z_order
-                ),
-                "operator/solver fingerprint mismatch"
-            );
-        }
-        // The floorplan's sink, not the operator's (same value by the
-        // fingerprint contract): reading it must not force a dense
-        // build under the spectral backend.
-        let sink_k = self.solver.floorplan().geometry().sink_temperature;
-        let total = grid.len();
         let chain_len = grid.warm_chain_len();
-        let warm = if opts.warm_start.unwrap_or(self.warm_start) && chain_len > 1 {
+        let warm = if opts.warm_start && chain_len > 1 {
             WarmMode::Chained { chain_len }
         } else {
             WarmMode::Cold
         };
-        self.run_batched(
-            total,
-            |id| grid.scenario(id, sink_k).ambient_k,
-            || model.batched(grid, sink_k, self.batch_lanes),
-            opts.cancel,
-            opts.operator,
-            opts.backend,
-            warm,
-        )
+        self.sweep_grid(grid, model, opts, warm)
     }
 
     /// [`Self::sweep`] with per-scenario initial-temperature seeds — the
@@ -1508,38 +1452,33 @@ impl SweepEngine {
         seed_of: &(dyn Fn(usize) -> Option<Vec<f64>> + Sync),
         opts: RunOptions<'_, Arc<ThermalOperator>>,
     ) -> SweepReport {
-        if let Some(op) = opts.operator {
-            assert_eq!(
-                op.fingerprint(),
-                crate::cosim::operator_fingerprint(
-                    self.solver.floorplan(),
-                    self.solver.lateral_order,
-                    self.solver.z_order
-                ),
-                "operator/solver fingerprint mismatch"
-            );
-        }
+        self.sweep_grid(grid, model, opts, WarmMode::Seeded(seed_of))
+    }
+
+    /// The body [`Self::sweep`] and [`Self::sweep_seeded`] share: one
+    /// grid through the batched driver under the given seeding mode.
+    fn sweep_grid<M: ScenarioPowerModel>(
+        &self,
+        grid: &ScenarioGrid,
+        model: &M,
+        opts: RunOptions<'_, Arc<ThermalOperator>>,
+        warm: WarmMode<'_>,
+    ) -> SweepReport {
+        // The floorplan's sink, not the operator's (same value by the
+        // fingerprint contract): reading it must not force a dense
+        // build under the spectral backend.
         let sink_k = self.solver.floorplan().geometry().sink_temperature;
-        let total = grid.len();
         self.run_batched(
-            total,
+            grid.len(),
             |id| grid.scenario(id, sink_k).ambient_k,
             || model.batched(grid, sink_k, self.batch_lanes),
-            opts.cancel,
-            opts.operator,
-            opts.backend,
-            WarmMode::Seeded(seed_of),
+            opts,
+            warm,
         )
     }
 
-    /// [`Self::sweep`] with default [`RunOptions`] — the legacy name,
-    /// kept as a thin wrapper.
-    pub fn run<M: ScenarioPowerModel>(&self, grid: &ScenarioGrid, model: &M) -> SweepReport {
-        self.sweep(grid, model, RunOptions::new())
-    }
-
-    /// [`Self::sweep`] with only a cancellation token — the legacy
-    /// name, kept as a thin wrapper.
+    /// [`Self::sweep`] with only a cancellation token. Kept only
+    /// because `perfbench/src/replay.rs` calls it.
     pub fn run_with_cancel<M: ScenarioPowerModel>(
         &self,
         grid: &ScenarioGrid,
@@ -1556,36 +1495,12 @@ impl SweepEngine {
         )
     }
 
-    /// The generic batched entry point: sweeps arbitrary scenario values
-    /// with caller-supplied ambient and power functions. Outcomes
-    /// preserve input order.
-    pub fn run_scenarios<S, A, P>(&self, scenarios: &[S], ambient_k: A, power: P) -> SweepReport
-    where
-        S: Sync,
-        A: Fn(&S) -> f64 + Sync,
-        P: Fn(&S, usize, f64) -> f64 + Sync,
-    {
-        self.run_batched(
-            scenarios.len(),
-            |id| ambient_k(&scenarios[id]),
-            || {
-                Box::new(crate::cosim::batch::FnBatchPower::new(
-                    |id: usize, block: usize, t: f64| power(&scenarios[id], block, t),
-                ))
-            },
-            None,
-            None,
-            None,
-            WarmMode::Cold,
-        )
-    }
-
     /// Builds the spatial [`MapOperator`] this engine's floorplan and
     /// image orders imply for an `nx × ny` tile grid — the kernel
-    /// assembly [`Self::run_map`] would perform internally, exposed so
-    /// a fleet-level cache can build it once per
+    /// assembly [`Self::map`] would perform internally, exposed so a
+    /// fleet-level cache can build it once per
     /// [`map_operator_fingerprint`] and replay it through
-    /// [`Self::run_map_with`].
+    /// [`RunOptions::operator`].
     pub fn map_operator(&self, nx: usize, ny: usize) -> MapOperator {
         MapOperator::with_image_orders_threaded(
             self.solver.floorplan(),
@@ -1598,14 +1513,13 @@ impl SweepEngine {
     }
 
     /// Sweeps a scenario grid and renders a high-resolution `nx × ny`
-    /// temperature map per converged scenario — the unified map entry
-    /// point.
+    /// temperature map per converged scenario — the map entry point.
     ///
     /// Leakage feedback is closed through the **existing** batched
-    /// Picard loop ([`Self::sweep`]: `Self::batch_lanes` scenarios per
-    /// GEMM step on the `MultiVec` path); the converged block power
-    /// vectors are then rasterized and convolved through the FFT map
-    /// operator, one render per scenario, sharded over
+    /// Picard loop ([`Self::sweep`] on this engine's backend:
+    /// `Self::batch_lanes` scenarios per step); the converged block
+    /// power vectors are then rasterized and convolved through the FFT
+    /// map operator, one render per scenario, sharded over
     /// `Self::threads` workers with a reusable [`MapWorkspace`] each.
     /// Results are bitwise independent of thread count and batch width
     /// (the Picard contract plus a deterministic serial render per
@@ -1624,7 +1538,6 @@ impl SweepEngine {
     ///   [`Self::map_operator`]); its grid must be `nx × ny`. Results
     ///   are bit-identical to the self-building path for an operator
     ///   built from the same inputs.
-    /// * `backend` — per-call override for the Picard sweep phase.
     ///
     /// # Panics
     ///
@@ -1648,50 +1561,14 @@ impl SweepEngine {
                     (nx, ny),
                     "map operator grid mismatch"
                 );
-                self.map_inner(grid, model, map_op, opts.cancel, opts.backend)
+                self.map_inner(grid, model, map_op, opts.cancel)
             }
-            None => self.map_inner(
-                grid,
-                model,
-                &self.map_operator(nx, ny),
-                opts.cancel,
-                opts.backend,
-            ),
+            None => self.map_inner(grid, model, &self.map_operator(nx, ny), opts.cancel),
         }
     }
 
-    /// [`Self::map`] with default [`RunOptions`] — the legacy name,
-    /// kept as a thin wrapper.
-    pub fn run_map<M: ScenarioPowerModel>(
-        &self,
-        grid: &ScenarioGrid,
-        model: &M,
-        nx: usize,
-        ny: usize,
-    ) -> MapReport {
-        self.map(grid, model, nx, ny, RunOptions::new())
-    }
-
-    /// [`Self::map`] against an already-built operator — the legacy
-    /// name, kept as a thin wrapper over
-    /// `RunOptions::new().operator(map_op)`.
-    pub fn run_map_with<M: ScenarioPowerModel>(
-        &self,
-        grid: &ScenarioGrid,
-        model: &M,
-        map_op: &MapOperator,
-    ) -> MapReport {
-        self.map(
-            grid,
-            model,
-            map_op.nx(),
-            map_op.ny(),
-            RunOptions::new().operator(map_op),
-        )
-    }
-
-    /// [`Self::map`] with an operator and a cancellation token — the
-    /// legacy name, kept as a thin wrapper.
+    /// [`Self::map`] with an operator and a cancellation token. Kept
+    /// only because `perfbench/src/replay.rs` calls it.
     pub fn run_map_with_cancel<M: ScenarioPowerModel>(
         &self,
         grid: &ScenarioGrid,
@@ -1699,17 +1576,13 @@ impl SweepEngine {
         map_op: &MapOperator,
         cancel: Option<&CancelToken>,
     ) -> MapReport {
+        let opts = RunOptions::new().operator(map_op);
         self.map(
             grid,
             model,
             map_op.nx(),
             map_op.ny(),
-            RunOptions {
-                cancel,
-                operator: Some(map_op),
-                backend: None,
-                warm_start: None,
-            },
+            RunOptions { cancel, ..opts },
         )
     }
 
@@ -1722,7 +1595,6 @@ impl SweepEngine {
         model: &M,
         map_op: &MapOperator,
         cancel: Option<&CancelToken>,
-        backend: Option<SweepBackend>,
     ) -> MapReport {
         assert_eq!(
             map_op.fingerprint(),
@@ -1740,9 +1612,7 @@ impl SweepEngine {
             model,
             RunOptions {
                 cancel,
-                operator: None,
-                backend,
-                warm_start: None,
+                ..RunOptions::new()
             },
         );
         let sink_k = self.solver.floorplan().geometry().sink_temperature;
@@ -1787,29 +1657,30 @@ impl SweepEngine {
     }
 
     /// Shared batched driver: `total` scenario ids, an ambient lookup and
-    /// a per-worker batched-model factory. Dispatches to the resolved
-    /// backend (honouring a per-call override and a pre-built dense
-    /// operator from [`RunOptions`]); both paths run the same Picard
-    /// skeleton.
+    /// a per-worker batched-model factory. Dispatches to the engine's
+    /// resolved backend (replaying a fingerprint-checked
+    /// `opts.operator` on the dense path); both paths run the same
+    /// Picard skeleton. `warm` carries the seeding mode
+    /// (`opts.warm_start` is not read here).
     ///
     /// # Panics
     ///
     /// Panics when the backend is explicitly [`SweepBackend::Spectral`]
     /// and the floorplan is not grid-coincident. Callers that need a
     /// typed failure (the fleet) pre-validate with [`infer_grid`].
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_batched<'m>(
         &self,
         total: usize,
         ambient_of: impl Fn(usize) -> f64 + Sync,
         make_model: impl Fn() -> Box<dyn BatchPowerModel + 'm> + Sync,
-        cancel: Option<&CancelToken>,
-        dense_override: Option<&Arc<ThermalOperator>>,
-        backend_override: Option<SweepBackend>,
+        opts: RunOptions<'_, Arc<ThermalOperator>>,
         warm: WarmMode<'_>,
     ) -> SweepReport {
-        let requested = backend_override.unwrap_or(self.backend);
-        let spectral = match requested.resolve(self.solver.floorplan()) {
+        if let Some(op) = opts.operator {
+            self.check_dense_operator(op);
+        }
+        let cancel = opts.cancel;
+        let spectral = match self.resolved_backend() {
             SweepBackend::Spectral => Some(match self.spectral_operator() {
                 Ok(op) => Arc::clone(op),
                 // lint:allow(panic-freedom) — documented `# Panics` contract; callers needing a typed failure (the fleet) pre-validate with `infer_grid`
@@ -1819,7 +1690,7 @@ impl SweepEngine {
         };
         let dense = match &spectral {
             None => Some(Arc::clone(
-                dense_override.unwrap_or_else(|| self.dense_operator()),
+                opts.operator.unwrap_or_else(|| self.dense_operator()),
             )),
             Some(_) => None,
         };
@@ -1970,10 +1841,10 @@ impl SweepEngine {
     }
 
     /// Builds the implicit transient operator `cfg` implies for this
-    /// engine's floorplan — the factorization [`Self::run_transient`]
+    /// engine's floorplan — the factorization [`Self::transient`]
     /// would perform internally, exposed so a fleet-level cache can
     /// build it once per `(floorplan, capacitances, dt, scheme)`
-    /// fingerprint and replay it through [`Self::run_transient_with`].
+    /// fingerprint and replay it through [`RunOptions::operator`].
     ///
     /// # Errors
     ///
@@ -1988,7 +1859,7 @@ impl SweepEngine {
 
     /// Sweeps a scenario × drive-waveform grid through the batched
     /// implicit **transient** engine ([`crate::cosim::transient`]) —
-    /// the unified transient entry point.
+    /// the transient entry point.
     ///
     /// Every scenario of `grid` runs under every waveform of `cfg`,
     /// `Self::batch_lanes` transients advancing per time step through
@@ -2012,8 +1883,10 @@ impl SweepEngine {
     ///   waveform axis and recording policy. Results are bit-identical
     ///   to the self-factoring path for a propagator built from the
     ///   same inputs.
-    /// * `backend` — ignored: transients always step through the
-    ///   propagator factored from the dense operator.
+    /// * `warm_start` — ignored.
+    ///
+    /// Transients always step through the propagator factored from the
+    /// dense operator, whatever the engine's backend.
     ///
     /// # Errors
     ///
@@ -2041,40 +1914,8 @@ impl SweepEngine {
         }
     }
 
-    /// [`Self::transient`] with default [`RunOptions`] — the legacy
-    /// name, kept as a thin wrapper.
-    ///
-    /// # Errors
-    ///
-    /// See [`TransientError`].
-    pub fn run_transient<M: ScenarioPowerModel>(
-        &self,
-        grid: &ScenarioGrid,
-        model: &M,
-        cfg: &TransientConfig,
-    ) -> Result<TransientReport, TransientError> {
-        self.transient(grid, model, cfg, RunOptions::new())
-    }
-
-    /// [`Self::transient`] against an already-factored propagator —
-    /// the legacy name, kept as a thin wrapper over
-    /// `RunOptions::new().operator(top)`.
-    ///
-    /// # Errors
-    ///
-    /// See [`TransientError`].
-    pub fn run_transient_with<M: ScenarioPowerModel>(
-        &self,
-        grid: &ScenarioGrid,
-        model: &M,
-        cfg: &TransientConfig,
-        top: &TransientOperator,
-    ) -> Result<TransientReport, TransientError> {
-        self.transient(grid, model, cfg, RunOptions::new().operator(top))
-    }
-
-    /// [`Self::transient`] with a propagator and a cancellation token —
-    /// the legacy name, kept as a thin wrapper.
+    /// [`Self::transient`] with a propagator and a cancellation token.
+    /// Kept only because `perfbench/src/replay.rs` calls it.
     ///
     /// # Errors
     ///
@@ -2087,17 +1928,8 @@ impl SweepEngine {
         top: &TransientOperator,
         cancel: Option<&CancelToken>,
     ) -> Result<TransientReport, TransientError> {
-        self.transient(
-            grid,
-            model,
-            cfg,
-            RunOptions {
-                cancel,
-                operator: Some(top),
-                backend: None,
-                warm_start: None,
-            },
-        )
+        let opts = RunOptions::new().operator(top);
+        self.transient(grid, model, cfg, RunOptions { cancel, ..opts })
     }
 
     /// Shared transient driver behind [`Self::transient`]:
@@ -2178,7 +2010,7 @@ impl SweepEngine {
     /// arithmetic through the same implicit operator, each
     /// scenario×waveform integrated on its own
     /// ([`TransientBatchedSolver::solve_single`]), fanned over worker
-    /// threads. Validation baseline for [`Self::run_transient`].
+    /// threads. Validation baseline for [`Self::transient`].
     ///
     /// # Errors
     ///
@@ -2255,8 +2087,9 @@ impl SweepEngine {
 
     /// The pre-batching reference path: each scenario solved one at a
     /// time through [`ElectroThermalSolver::solve_with_ambient`] on the
-    /// shared operator, fanned over worker threads. Kept as the exact
-    /// oracle the batched engine is validated (and benchmarked) against.
+    /// shared dense operator, fanned over worker threads. Kept as the
+    /// exact oracle the batched engine is validated (and benchmarked)
+    /// against.
     pub fn run_per_scenario<M: ScenarioPowerModel>(
         &self,
         grid: &ScenarioGrid,
@@ -2264,38 +2097,14 @@ impl SweepEngine {
     ) -> SweepReport {
         let scenarios = grid.scenarios(self.solver.floorplan().geometry().sink_temperature);
         let techs = grid.technologies();
-        self.run_scenarios_per_scenario(
-            &scenarios,
-            |s| s.ambient_k,
-            |s, block, t| model.block_power(s, &techs[s.tech_index], block, t),
-        )
-    }
-
-    /// Generic form of [`Self::run_per_scenario`]: the bit-exact
-    /// per-scenario oracle for arbitrary scenario values.
-    pub fn run_scenarios_per_scenario<S, A, P>(
-        &self,
-        scenarios: &[S],
-        ambient_k: A,
-        power: P,
-    ) -> SweepReport
-    where
-        S: Sync,
-        A: Fn(&S) -> f64 + Sync,
-        P: Fn(&S, usize, f64) -> f64 + Sync,
-    {
         let operator = self.dense_operator();
-        let outcomes = ptherm_par::par_map_with(
-            self.threads,
-            scenarios,
-            Workspace::new,
-            |ws, _idx, scenario| {
-                let solve = self.solver.solve_with_ambient(
-                    operator,
-                    ambient_k(scenario),
-                    ws,
-                    |block, t| power(scenario, block, t),
-                );
+        let outcomes =
+            ptherm_par::par_map_with(self.threads, &scenarios, Workspace::new, |ws, _idx, s| {
+                let solve =
+                    self.solver
+                        .solve_with_ambient(operator, s.ambient_k, ws, |block, t| {
+                            model.block_power(s, &techs[s.tech_index], block, t)
+                        });
                 match solve {
                     Ok(()) => SweepOutcome::Converged {
                         block_temperatures: ws.temperatures().to_vec(),
@@ -2304,8 +2113,7 @@ impl SweepEngine {
                     },
                     Err(err) => SweepOutcome::from_error(err),
                 }
-            },
-        );
+            });
         SweepReport { outcomes }
     }
 }
@@ -2348,7 +2156,7 @@ mod tests {
         let engine = engine().threads(4);
         let grid = small_grid();
         let model = engine.uniform_tech_power(0.6, 0.05);
-        let report = engine.run(&grid, &model);
+        let report = engine.sweep(&grid, &model, RunOptions::new());
         assert_eq!(report.len(), grid.len());
 
         let techs = grid.technologies();
@@ -2391,8 +2199,10 @@ mod tests {
         let grid = small_grid();
         let e1 = engine().batch_lanes(1);
         let model = e1.uniform_tech_power(0.6, 0.05);
-        let narrow = e1.run(&grid, &model);
-        let wide = engine().batch_lanes(128).run(&grid, &model);
+        let narrow = e1.sweep(&grid, &model, RunOptions::new());
+        let wide = engine()
+            .batch_lanes(128)
+            .sweep(&grid, &model, RunOptions::new());
         assert_eq!(narrow.outcomes, wide.outcomes);
     }
 
@@ -2401,7 +2211,7 @@ mod tests {
         let engine = engine();
         let grid = small_grid();
         let model = engine.uniform_tech_power(0.6, 0.05).prepared_for(&grid);
-        let batched = engine.run(&grid, &model);
+        let batched = engine.sweep(&grid, &model, RunOptions::new());
         let oracle = engine.run_per_scenario(&grid, &model);
         assert_eq!(batched.len(), oracle.len());
         for (b, o) in batched.outcomes.iter().zip(&oracle.outcomes) {
@@ -2439,8 +2249,8 @@ mod tests {
         let prepared = plain.clone().prepared_for(&grid);
         // Same nominal_off_current call either way: bitwise-equal sweeps.
         assert_eq!(
-            engine.run(&grid, &plain).outcomes,
-            engine.run(&grid, &prepared).outcomes
+            engine.sweep(&grid, &plain, RunOptions::new()).outcomes,
+            engine.sweep(&grid, &prepared, RunOptions::new()).outcomes
         );
     }
 
@@ -2449,8 +2259,8 @@ mod tests {
         let grid = small_grid();
         let e1 = engine().threads(1);
         let model = e1.uniform_tech_power(0.6, 0.05);
-        let serial = e1.run(&grid, &model);
-        let parallel = engine().threads(8).run(&grid, &model);
+        let serial = e1.sweep(&grid, &model, RunOptions::new());
+        let parallel = engine().threads(8).sweep(&grid, &model, RunOptions::new());
         assert_eq!(serial.outcomes, parallel.outcomes);
     }
 
@@ -2458,12 +2268,13 @@ mod tests {
     fn runaway_scenarios_are_reported_not_fatal() {
         let engine = engine();
         // Violent feedback for high activity only.
-        let scenarios: Vec<f64> = vec![0.1, 50.0, 0.2];
-        let report = engine.run_scenarios(
-            &scenarios,
-            |_| 300.0,
-            |&gain, _, t| 0.3 + 0.05 * gain * ((t - 300.0) / 10.0).exp2(),
-        );
+        let grid = ScenarioGrid::new(vec![Technology::cmos_120nm()])
+            .activities(vec![0.1, 50.0, 0.2])
+            .ambients_k(vec![300.0]);
+        let gain_model = |s: &Scenario, _: &Technology, _: usize, t: f64| {
+            0.3 + 0.05 * s.activity * ((t - 300.0) / 10.0).exp2()
+        };
+        let report = engine.sweep(&grid, &gain_model, RunOptions::new());
         assert!(report.outcomes[0].is_converged());
         assert!(matches!(report.outcomes[1], SweepOutcome::Runaway { .. }));
         assert!(report.outcomes[2].is_converged());
@@ -2476,7 +2287,7 @@ mod tests {
         let engine = engine();
         let grid = small_grid();
         let model = engine.uniform_tech_power(0.6, 0.05);
-        let report = engine.run(&grid, &model);
+        let report = engine.sweep(&grid, &model, RunOptions::new());
         let scenarios = grid.scenarios(300.0);
         // Compare matching scenarios differing only in one knob.
         let find = |vdd: f64, act: f64, amb: f64| -> &SweepOutcome {
@@ -2521,7 +2332,7 @@ mod tests {
         let engine = engine();
         let model = engine.uniform_tech_power(0.6, 0.05);
         for grid in [&empty_vdd, &empty_activity, &empty_ambient, &empty_tech] {
-            let batched = engine.run(grid, &model);
+            let batched = engine.sweep(grid, &model, RunOptions::new());
             assert!(batched.is_empty(), "{}", batched);
             let oracle = engine.run_per_scenario(grid, &model);
             assert!(oracle.is_empty());
@@ -2555,7 +2366,9 @@ mod tests {
                 duty: 0.5,
             },
         ]);
-        let batched = engine.run_transient(&grid, &model, &cfg).expect("valid");
+        let batched = engine
+            .transient(&grid, &model, &cfg, RunOptions::new())
+            .expect("valid");
         let oracle = engine
             .run_transient_per_scenario(&grid, &model, &cfg)
             .expect("valid");
@@ -2580,11 +2393,13 @@ mod tests {
         let e1 = engine().threads(1).batch_lanes(1);
         let model = e1.uniform_tech_power(0.6, 0.05);
         let cfg = transient_config(&e1);
-        let narrow = e1.run_transient(&grid, &model, &cfg).expect("valid");
+        let narrow = e1
+            .transient(&grid, &model, &cfg, RunOptions::new())
+            .expect("valid");
         let wide = engine()
             .threads(8)
             .batch_lanes(64)
-            .run_transient(&grid, &model, &cfg)
+            .transient(&grid, &model, &cfg, RunOptions::new())
             .expect("valid");
         assert_eq!(narrow.outcomes, wide.outcomes);
     }
@@ -2598,7 +2413,9 @@ mod tests {
         let grid = ScenarioGrid::new(vec![Technology::cmos_120nm()]).vdd_scales(vec![0.9, 1.1]);
         let model = engine.uniform_tech_power(0.6, 0.05);
         let cfg = transient_config(&engine);
-        let implicit = engine.run_transient(&grid, &model, &cfg).expect("valid");
+        let implicit = engine
+            .transient(&grid, &model, &cfg, RunOptions::new())
+            .expect("valid");
         let explicit = engine
             .run_transient_rk4(&grid, &model, &cfg)
             .expect("valid");
@@ -2626,7 +2443,9 @@ mod tests {
                 scales: vec![0.3, 0.3],
             },
         ]);
-        let report = engine.run_transient(&grid, &model, &cfg).expect("valid");
+        let report = engine
+            .transient(&grid, &model, &cfg, RunOptions::new())
+            .expect("valid");
         let step_peak = report.outcome(0, 0).peak_temperature().expect("finished");
         let derated_peak = report.outcome(0, 1).peak_temperature().expect("finished");
         assert!(step_peak > derated_peak, "{step_peak} vs {derated_peak}");
@@ -2638,7 +2457,9 @@ mod tests {
         let grid = ScenarioGrid::new(vec![Technology::cmos_120nm()]).vdd_scales(Vec::new());
         let model = engine.uniform_tech_power(0.6, 0.05);
         let cfg = transient_config(&engine);
-        let report = engine.run_transient(&grid, &model, &cfg).expect("valid");
+        let report = engine
+            .transient(&grid, &model, &cfg, RunOptions::new())
+            .expect("valid");
         assert!(report.is_empty());
         assert_eq!(report.max_peak_temperature(), None);
     }
@@ -2650,12 +2471,12 @@ mod tests {
         let model = engine.uniform_tech_power(0.6, 0.05);
         let cfg = TransientConfig::new(0.0, 10);
         assert!(matches!(
-            engine.run_transient(&grid, &model, &cfg),
+            engine.transient(&grid, &model, &cfg, RunOptions::new()),
             Err(TransientError::BadStep { .. })
         ));
         let cfg = TransientConfig::new(1e-6, 10).capacitances(vec![1.0]);
         assert!(matches!(
-            engine.run_transient(&grid, &model, &cfg),
+            engine.transient(&grid, &model, &cfg, RunOptions::new()),
             Err(TransientError::DimensionMismatch { .. })
         ));
         // A malformed trace is a typed error at the API boundary, never
@@ -2668,7 +2489,7 @@ mod tests {
             },
         ]);
         assert!(matches!(
-            engine.run_transient(&grid, &model, &cfg),
+            engine.transient(&grid, &model, &cfg, RunOptions::new()),
             Err(TransientError::BadWaveform { index: 1, .. })
         ));
     }
@@ -2678,7 +2499,7 @@ mod tests {
         let fresh = engine();
         let grid = small_grid();
         let model = fresh.uniform_tech_power(0.6, 0.05);
-        let baseline = fresh.run(&grid, &model);
+        let baseline = fresh.sweep(&grid, &model, RunOptions::new());
 
         // Hand the prebuilt operator to a second engine (the fleet-cache
         // construction path): bitwise the same sweep.
@@ -2686,7 +2507,10 @@ mod tests {
             ElectroThermalSolver::new(Floorplan::paper_three_blocks()),
             fresh.shared_operator(),
         );
-        assert_eq!(baseline.outcomes, shared.run(&grid, &model).outcomes);
+        assert_eq!(
+            baseline.outcomes,
+            shared.sweep(&grid, &model, RunOptions::new()).outcomes
+        );
     }
 
     #[test]
@@ -2718,9 +2542,11 @@ mod tests {
             .waveforms(vec![DriveWaveform::Step, DriveWaveform::paper_gating()]);
         let top = engine.transient_operator(&cfg).expect("valid");
         let cached = engine
-            .run_transient_with(&grid, &model, &cfg, &top)
+            .transient(&grid, &model, &cfg, RunOptions::new().operator(&top))
             .expect("valid");
-        let fresh = engine.run_transient(&grid, &model, &cfg).expect("valid");
+        let fresh = engine
+            .transient(&grid, &model, &cfg, RunOptions::new())
+            .expect("valid");
         assert_eq!(cached.outcomes, fresh.outcomes);
     }
 
@@ -2735,13 +2561,15 @@ mod tests {
         // Same floorplan, different dt: the factored propagator no
         // longer matches the config.
         let other = TransientConfig::new(cfg.dt * 2.0, cfg.steps);
-        let _ = engine.run_transient_with(&grid, &model, &other, &top);
+        let _ = engine.transient(&grid, &model, &other, RunOptions::new().operator(&top));
     }
 
     #[test]
     fn report_display_summarizes() {
         let engine = engine();
-        let report = engine.run_scenarios(&[1.0f64], |_| 300.0, |_, _, _| 0.1);
+        let grid = ScenarioGrid::new(vec![Technology::cmos_120nm()]);
+        let flat = |_: &Scenario, _: &Technology, _: usize, _: f64| 0.1;
+        let report = engine.sweep(&grid, &flat, RunOptions::new());
         let s = format!("{report}");
         assert!(s.contains("1 scenarios"));
         assert!(s.contains("1 converged"));
@@ -2752,11 +2580,11 @@ mod tests {
         let engine = engine();
         let grid = small_grid();
         let model = engine.uniform_tech_power(0.6, 0.05);
-        let report = engine.run_map(&grid, &model, 16, 16);
+        let report = engine.map(&grid, &model, 16, 16, RunOptions::new());
         assert_eq!(report.len(), grid.len());
         assert_eq!((report.nx, report.ny), (16, 16));
         // Block-level outcomes are exactly the plain sweep's outcomes.
-        let sweep = engine.run(&grid, &model);
+        let sweep = engine.sweep(&grid, &model, RunOptions::new());
         for (m, s) in report.outcomes.iter().zip(&sweep.outcomes) {
             assert_eq!(&m.outcome, s);
             assert_eq!(m.map_k.is_some(), s.is_converged());
@@ -2780,12 +2608,15 @@ mod tests {
         let grid = small_grid();
         let e1 = engine().threads(1).batch_lanes(1);
         let model = e1.uniform_tech_power(0.6, 0.05);
-        let narrow = e1.run_map(&grid, &model, 12, 12);
+        let narrow = e1.map(&grid, &model, 12, 12, RunOptions::new());
         for (threads, lanes) in [(2, 64), (8, 128)] {
-            let wide = engine()
-                .threads(threads)
-                .batch_lanes(lanes)
-                .run_map(&grid, &model, 12, 12);
+            let wide = engine().threads(threads).batch_lanes(lanes).map(
+                &grid,
+                &model,
+                12,
+                12,
+                RunOptions::new(),
+            );
             for (a, b) in narrow.outcomes.iter().zip(&wide.outcomes) {
                 assert_eq!(a.outcome, b.outcome, "threads {threads} lanes {lanes}");
                 assert_eq!(a.map_k, b.map_k, "threads {threads} lanes {lanes}");
@@ -2799,8 +2630,8 @@ mod tests {
         let grid = small_grid();
         let model = engine.uniform_tech_power(0.6, 0.05);
         let map_op = engine.map_operator(10, 8);
-        let cached = engine.run_map_with(&grid, &model, &map_op);
-        let fresh = engine.run_map(&grid, &model, 10, 8);
+        let cached = engine.map(&grid, &model, 10, 8, RunOptions::new().operator(&map_op));
+        let fresh = engine.map(&grid, &model, 10, 8, RunOptions::new());
         for (a, b) in cached.outcomes.iter().zip(&fresh.outcomes) {
             assert_eq!(a.outcome, b.outcome);
             assert_eq!(a.map_k, b.map_k);
@@ -2824,7 +2655,13 @@ mod tests {
         let map_op = donor.map_operator(8, 8);
         let engine = engine();
         let model = engine.uniform_tech_power(0.6, 0.05);
-        let _ = engine.run_map_with(&small_grid(), &model, &map_op);
+        let _ = engine.map(
+            &small_grid(),
+            &model,
+            8,
+            8,
+            RunOptions::new().operator(&map_op),
+        );
     }
 
     #[test]
@@ -2832,7 +2669,7 @@ mod tests {
         let engine = engine();
         let grid = ScenarioGrid::new(vec![Technology::cmos_120nm()]).vdd_scales(Vec::new());
         let model = engine.uniform_tech_power(0.6, 0.05);
-        let report = engine.run_map(&grid, &model, 8, 8);
+        let report = engine.map(&grid, &model, 8, 8, RunOptions::new());
         assert!(report.is_empty());
         assert_eq!(report.max_map_temperature(), None);
         assert!(format!("{report}").contains("0 scenarios"));
@@ -2845,7 +2682,7 @@ mod tests {
         let engine = engine();
         let grid = ScenarioGrid::new(vec![Technology::cmos_120nm()]).activities(vec![1.0, 400.0]);
         let model = engine.uniform_tech_power(0.6, 0.4);
-        let report = engine.run_map(&grid, &model, 8, 8);
+        let report = engine.map(&grid, &model, 8, 8, RunOptions::new());
         assert_eq!(report.len(), 2);
         assert!(report.outcomes[0].map_k.is_some());
         assert!(matches!(
@@ -2928,8 +2765,8 @@ mod tests {
         let dense = SweepEngine::new(aligned_plan(8, 8)).backend(SweepBackend::Dense);
         let spectral = SweepEngine::new(aligned_plan(8, 8)).backend(SweepBackend::Spectral);
         let model = dense.uniform_tech_power(0.6, 0.002);
-        let d = dense.run(&grid, &model);
-        let s = spectral.run(&grid, &model);
+        let d = dense.sweep(&grid, &model, RunOptions::new());
+        let s = spectral.sweep(&grid, &model, RunOptions::new());
         assert_eq!(d.len(), s.len());
         for (a, b) in d.outcomes.iter().zip(&s.outcomes) {
             match (a, b) {
@@ -2967,7 +2804,7 @@ mod tests {
     fn explicit_spectral_on_an_incompatible_floorplan_panics() {
         let engine = engine().backend(SweepBackend::Spectral);
         let model = engine.uniform_tech_power(0.6, 0.05);
-        let _ = engine.run(&small_grid(), &model);
+        let _ = engine.sweep(&small_grid(), &model, RunOptions::new());
     }
 
     #[test]
@@ -2985,10 +2822,10 @@ mod tests {
         // The adopted operator is bit-identical to a self-built one.
         let grid = small_grid();
         let model = engine.uniform_tech_power(0.6, 0.002);
-        let adopted = engine.run(&grid, &model);
+        let adopted = engine.sweep(&grid, &model, RunOptions::new());
         let fresh = SweepEngine::new(aligned_plan(8, 8))
             .backend(SweepBackend::Spectral)
-            .run(&grid, &model);
+            .sweep(&grid, &model, RunOptions::new());
         assert_eq!(adopted.outcomes, fresh.outcomes);
     }
 
@@ -3007,40 +2844,43 @@ mod tests {
         let engine = engine().threads(2);
         let grid = small_grid();
         let model = engine.uniform_tech_power(0.6, 0.05);
-        let legacy = engine.run(&grid, &model);
-        // Defaults, explicit operator replay, and an explicit backend
-        // pin must all produce the same bits on this dense engine.
+        let legacy = engine.run_with_cancel(&grid, &model, None);
+        // Defaults, explicit operator replay, and a never-firing token
+        // must all produce the same bits on this dense engine.
         let unified = engine.sweep(&grid, &model, RunOptions::new());
         assert_eq!(legacy.outcomes, unified.outcomes);
         let shared = engine.shared_operator();
         let replayed = engine.sweep(&grid, &model, RunOptions::new().operator(&shared));
         assert_eq!(legacy.outcomes, replayed.outcomes);
-        let pinned = engine.sweep(
-            &grid,
-            &model,
-            RunOptions::new().backend(SweepBackend::Dense),
-        );
-        assert_eq!(legacy.outcomes, pinned.outcomes);
+        let token = CancelToken::new();
+        let armed = engine.sweep(&grid, &model, RunOptions::new().cancel(&token));
+        assert_eq!(legacy.outcomes, armed.outcomes);
     }
 
     #[test]
-    fn per_call_backend_override_resolves_without_reconfiguring() {
-        // An Auto engine on a large aligned plan resolves spectral; the
-        // per-call Dense override must force the dense path for that
-        // call only, leaving the engine's own resolution untouched.
-        let engine = SweepEngine::new(aligned_plan(32, 16));
-        assert_eq!(engine.resolved_backend(), SweepBackend::Spectral);
-        let grid = small_grid();
-        let model = engine.uniform_tech_power(0.6, 0.002);
-        let dense = engine.sweep(
-            &grid,
-            &model,
-            RunOptions::new().backend(SweepBackend::Dense),
-        );
+    fn a_shared_dense_operator_pins_the_dense_backend() {
+        // An Auto engine on a plan this large and grid-coincident
+        // resolves spectral; adopting a dense operator must pin dense,
+        // or the adopted operator would sit unused while every sweep
+        // built an uncached spectral one.
         let dense_engine = SweepEngine::new(aligned_plan(32, 16)).backend(SweepBackend::Dense);
-        let oracle = dense_engine.run(&grid, &model);
-        assert_eq!(dense.outcomes, oracle.outcomes);
-        assert_eq!(engine.resolved_backend(), SweepBackend::Spectral);
+        assert_eq!(
+            SweepEngine::new(aligned_plan(32, 16)).resolved_backend(),
+            SweepBackend::Spectral
+        );
+        let operator = dense_engine.shared_operator();
+        let engine = SweepEngine::with_operator(
+            ElectroThermalSolver::new(aligned_plan(32, 16)),
+            Arc::clone(&operator),
+        );
+        assert_eq!(engine.resolved_backend(), SweepBackend::Dense);
+        let grid = ScenarioGrid::new(vec![Technology::cmos_120nm()]).vdd_scales(vec![0.9, 1.1]);
+        let model = engine.uniform_tech_power(0.6, 0.002);
+        let adopted = engine.sweep(&grid, &model, RunOptions::new());
+        let oracle = dense_engine.sweep(&grid, &model, RunOptions::new());
+        assert_eq!(adopted.outcomes, oracle.outcomes);
+        assert!(Arc::ptr_eq(&engine.shared_operator(), &operator));
+        assert!(engine.spectral.get().is_none(), "no spectral build");
     }
 
     #[test]
@@ -3049,7 +2889,7 @@ mod tests {
         let grid = small_grid();
         let model = engine.uniform_tech_power(0.6, 0.05);
         let map_op = engine.map_operator(8, 6);
-        let legacy = engine.run_map_with(&grid, &model, &map_op);
+        let legacy = engine.run_map_with_cancel(&grid, &model, &map_op, None);
         let unified = engine.map(&grid, &model, 8, 6, RunOptions::new().operator(&map_op));
         let self_built = engine.map(&grid, &model, 8, 6, RunOptions::new());
         for (a, b) in legacy.outcomes.iter().zip(&unified.outcomes) {
@@ -3069,16 +2909,86 @@ mod tests {
         let model = engine.uniform_tech_power(0.6, 0.05);
         let cfg = TransientConfig::new(1e-4, 32)
             .waveforms(vec![DriveWaveform::Step, DriveWaveform::paper_gating()]);
-        let legacy = engine.run_transient(&grid, &model, &cfg).expect("legacy");
+        let top = engine.transient_operator(&cfg).expect("operator");
+        let legacy = engine
+            .run_transient_with_cancel(&grid, &model, &cfg, &top, None)
+            .expect("legacy");
         let unified = engine
             .transient(&grid, &model, &cfg, RunOptions::new())
             .expect("unified");
         assert_eq!(legacy.outcomes, unified.outcomes);
-        let top = engine.transient_operator(&cfg).expect("operator");
         let replayed = engine
             .transient(&grid, &model, &cfg, RunOptions::new().operator(&top))
             .expect("replayed");
         assert_eq!(legacy.outcomes, replayed.outcomes);
+    }
+
+    #[test]
+    fn unseeded_and_misshapen_seeds_reproduce_the_cold_sweep_bitwise() {
+        // `None` seeds and seeds of the wrong length both start cold,
+        // so sweep_seeded must be bitwise `sweep` at any thread count
+        // and batch width.
+        let grid = small_grid();
+        let model = engine().uniform_tech_power(0.6, 0.05);
+        let no_seed = |_: usize| -> Option<Vec<f64>> { None };
+        let short_seed = |_: usize| Some(vec![400.0; 2]);
+        for (threads, lanes) in [(1, 1), (1, 64), (8, 1), (8, 64)] {
+            let e = engine().threads(threads).batch_lanes(lanes);
+            let cold = e.sweep(&grid, &model, RunOptions::new());
+            for seed_of in [
+                &no_seed as &(dyn Fn(usize) -> Option<Vec<f64>> + Sync),
+                &short_seed,
+            ] {
+                let seeded = e.sweep_seeded(&grid, &model, seed_of, RunOptions::new());
+                assert_eq!(
+                    cold.outcomes, seeded.outcomes,
+                    "threads {threads} lanes {lanes}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_point_seeds_match_the_cold_sweep_in_no_more_iterations() {
+        // Seeding every scenario with its own cold fixed point is the
+        // best case of a delta re-solve: same outcome kinds, the same
+        // fixed points to 1e-9 K, never more Picard iterations.
+        let engine = engine().configure(|s| {
+            s.tolerance_k = 1e-10;
+            s.max_iterations = 5000;
+        });
+        let grid = small_grid();
+        let model = engine.uniform_tech_power(0.6, 0.05);
+        let cold = engine.sweep(&grid, &model, RunOptions::new());
+        let seed_of = |id: usize| match &cold.outcomes[id] {
+            SweepOutcome::Converged {
+                block_temperatures, ..
+            } => Some(block_temperatures.clone()),
+            _ => None,
+        };
+        let seeded = engine.sweep_seeded(&grid, &model, &seed_of, RunOptions::new());
+        assert!(cold.converged_count() > 0);
+        for (c, s) in cold.outcomes.iter().zip(&seeded.outcomes) {
+            assert_eq!(std::mem::discriminant(c), std::mem::discriminant(s));
+            if let (
+                SweepOutcome::Converged {
+                    block_temperatures: ct,
+                    iterations: ci,
+                    ..
+                },
+                SweepOutcome::Converged {
+                    block_temperatures: st,
+                    iterations: si,
+                    ..
+                },
+            ) = (c, s)
+            {
+                for (a, b) in ct.iter().zip(st) {
+                    assert!((a - b).abs() <= 1e-9, "{a} vs {b}");
+                }
+                assert!(si <= ci, "seeded {si} vs cold {ci} iterations");
+            }
+        }
     }
 
     #[test]

@@ -888,7 +888,8 @@ impl FleetEngine {
     ) -> Result<(SweepReport, SweepBackend), JobError> {
         let backend = job.backend.resolve(floorplan);
         let (engine, grid, model) = self.prepare(job, floorplan, backend, fault)?;
-        Ok((engine.run_with_cancel(&grid, &model, cancel), backend))
+        let report = engine.sweep(&grid, &model, cancellable(cancel));
+        Ok((report, backend))
     }
 
     /// Solves a delta job: the (cached or re-solved) cold base report
@@ -923,7 +924,7 @@ impl FleetEngine {
             base_backend == SweepBackend::Spectral,
         );
         let base_report = self.cache.steady_result(key, || {
-            base_engine.run_with_cancel(&base_grid, &base_model, None)
+            base_engine.sweep(&base_grid, &base_model, RunOptions::new())
         });
 
         // Converged base fixed points, with their scenario coordinates.
@@ -965,11 +966,7 @@ impl FleetEngine {
         };
         let seeded = (0..grid.len()).filter(|&id| seed_of(id).is_some()).count();
 
-        let mut opts = RunOptions::new();
-        if let Some(token) = cancel {
-            opts = opts.cancel(token);
-        }
-        let report = delta_engine.sweep_seeded(&grid, &model, &seed_of, opts);
+        let report = delta_engine.sweep_seeded(&grid, &model, &seed_of, cancellable(cancel));
         Ok((report, seeded, backend))
     }
 
@@ -990,12 +987,8 @@ impl FleetEngine {
             hi: job.hi,
             tolerance: job.tolerance,
         };
-        let mut opts = RunOptions::new();
-        if let Some(token) = cancel {
-            opts = opts.cancel(token);
-        }
         let report = engine
-            .map_envelope(&grid, &model, &spec, opts)
+            .map_envelope(&grid, &model, &spec, cancellable(cancel))
             .map_err(JobError::Envelope)?;
         Ok((report, backend))
     }
@@ -1016,7 +1009,8 @@ impl FleetEngine {
             job.nx,
             job.ny,
         );
-        Ok(engine.run_map_with_cancel(&grid, &model, &map_op, cancel))
+        let opts = cancellable(cancel).operator(&*map_op);
+        Ok(engine.map(&grid, &model, job.nx, job.ny, opts))
     }
 
     fn run_transient(
@@ -1035,9 +1029,18 @@ impl FleetEngine {
             .cache
             .floorplan_propagator(floorplan, engine.operator(), job.dt_s, job.scheme)
             .map_err(JobError::Transient)?;
+        let opts = cancellable(cancel).operator(&*propagator);
         engine
-            .run_transient_with_cancel(&grid, &model, &cfg, &propagator, cancel)
+            .transient(&grid, &model, &cfg, opts)
             .map_err(JobError::Transient)
+    }
+}
+
+/// Per-call options carrying only a job's (optional) deadline token.
+fn cancellable<Op>(cancel: Option<&CancelToken>) -> RunOptions<'_, Op> {
+    RunOptions {
+        cancel,
+        ..RunOptions::new()
     }
 }
 

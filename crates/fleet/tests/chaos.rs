@@ -13,7 +13,8 @@
 use proptest::prelude::*;
 use ptherm_core::cosim::sweep::ScaledTechPower;
 use ptherm_core::cosim::{
-    ScenarioGrid, SweepBackend, SweepEngine, SweepOutcome, TransientConfig, TransientOutcome,
+    RunOptions, ScenarioGrid, SweepBackend, SweepEngine, SweepOutcome, TransientConfig,
+    TransientOutcome,
 };
 use ptherm_fleet::{
     parse_jsonl, Fault, FaultPlan, FleetConfig, FleetEngine, FleetEngineBuilder, FleetReport,
@@ -478,10 +479,10 @@ proptest! {
         let grid = scenario_grid();
         let model = ScaledTechPower::area_weighted(&plan, 0.3, 0.03).prepared_for(&grid);
 
-        let cold = steady_engine(&plan, backend).run(&grid, &model);
+        let cold = steady_engine(&plan, backend).sweep(&grid, &model, RunOptions::new());
         let engine = steady_engine(&plan, backend);
         let token = ptherm_par::CancelToken::after_checks(checks);
-        let cancelled = engine.run_with_cancel(&grid, &model, Some(&token));
+        let cancelled = engine.sweep(&grid, &model, RunOptions::new().cancel(&token));
         prop_assert_eq!(cancelled.len(), grid.len(), "every scenario is accounted for");
         for (outcome, reference) in cancelled.outcomes.iter().zip(&cold.outcomes) {
             match outcome {
@@ -499,7 +500,8 @@ proptest! {
         }
         // Reusability: the cancelled engine's next fault-free run is
         // bitwise identical to the cold engine's.
-        prop_assert_eq!(&engine.run(&grid, &model).outcomes, &cold.outcomes);
+        let rerun = engine.sweep(&grid, &model, RunOptions::new());
+        prop_assert_eq!(&rerun.outcomes, &cold.outcomes);
     }
 
     #[test]
@@ -512,13 +514,13 @@ proptest! {
         let cold_engine = steady_engine(&plan, SweepBackend::Dense);
         let top = cold_engine.transient_operator(&cfg).expect("factorable");
         let cold = cold_engine
-            .run_transient_with(&grid, &model, &cfg, &top)
+            .transient(&grid, &model, &cfg, RunOptions::new().operator(&top))
             .expect("valid config");
 
         let engine = steady_engine(&plan, SweepBackend::Dense);
         let token = ptherm_par::CancelToken::after_checks(checks);
         let cancelled = engine
-            .run_transient_with_cancel(&grid, &model, &cfg, &top, Some(&token))
+            .transient(&grid, &model, &cfg, RunOptions::new().operator(&top).cancel(&token))
             .expect("valid config");
         prop_assert_eq!(cancelled.len(), grid.len());
         for (outcome, reference) in cancelled.outcomes.iter().zip(&cold.outcomes) {
@@ -530,7 +532,7 @@ proptest! {
             }
         }
         let warm = engine
-            .run_transient_with(&grid, &model, &cfg, &top)
+            .transient(&grid, &model, &cfg, RunOptions::new().operator(&top))
             .expect("valid config");
         prop_assert_eq!(&warm.outcomes, &cold.outcomes);
     }
@@ -543,11 +545,12 @@ proptest! {
 
         let cold_engine = steady_engine(&plan, SweepBackend::Dense);
         let map_op = cold_engine.map_operator(8, 8);
-        let cold = cold_engine.run_map_with(&grid, &model, &map_op);
+        let cold = cold_engine.map(&grid, &model, 8, 8, RunOptions::new().operator(&map_op));
 
         let engine = steady_engine(&plan, SweepBackend::Dense);
         let token = ptherm_par::CancelToken::after_checks(checks);
-        let cancelled = engine.run_map_with_cancel(&grid, &model, &map_op, Some(&token));
+        let opts = RunOptions::new().operator(&map_op).cancel(&token);
+        let cancelled = engine.map(&grid, &model, 8, 8, opts);
         prop_assert_eq!(cancelled.len(), grid.len());
         for (outcome, reference) in cancelled.outcomes.iter().zip(&cold.outcomes) {
             match (&outcome.map_k, &reference.map_k) {
@@ -561,7 +564,7 @@ proptest! {
                 }
             }
         }
-        let warm = engine.run_map_with(&grid, &model, &map_op);
+        let warm = engine.map(&grid, &model, 8, 8, RunOptions::new().operator(&map_op));
         prop_assert_eq!(warm.outcomes.len(), cold.outcomes.len());
         for (w, c) in warm.outcomes.iter().zip(&cold.outcomes) {
             prop_assert_eq!(&w.outcome, &c.outcome);

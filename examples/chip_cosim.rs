@@ -10,7 +10,9 @@
 
 use ptherm::floorplan::{generator, ChipGeometry};
 use ptherm::model::cosim::power_model::CircuitBlockPower;
-use ptherm::model::cosim::{ElectroThermalSolver, SweepEngine, SweepOutcome};
+use ptherm::model::cosim::{
+    ElectroThermalSolver, RunOptions, Scenario, ScenarioGrid, SweepEngine, SweepOutcome,
+};
 use ptherm::netlist::circuit::Circuit;
 use ptherm::tech::Technology;
 
@@ -63,19 +65,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Runaway corner, swept through the batched engine: one shared
-    // thermal operator, all gain scenarios fanned out together. The
-    // engine must report runaway corners rather than oscillate or abort
-    // the rest of the sweep.
+    // thermal operator, all gain scenarios fanned out together (the
+    // feedback gain rides the grid's activity axis). The engine must
+    // report runaway corners rather than oscillate or abort the rest of
+    // the sweep.
     println!("\n== thermal-runaway corner (sweep engine) ==");
     let mut hot = ElectroThermalSolver::new(solver.floorplan().clone());
     hot.ceiling_k = 450.0;
     let engine = SweepEngine::with_solver(hot);
     let gains = [50.0, 200.0, 1000.0];
-    let sweep = engine.run_scenarios(
-        &gains,
-        |_| 300.0,
-        |&gain, _, t| 0.02 + 0.002 * gain * ((t - 300.0) / 12.0).exp2(),
-    );
+    let grid = ScenarioGrid::new(vec![tech])
+        .activities(gains.to_vec())
+        .ambients_k(vec![300.0]);
+    let gain_power = |s: &Scenario, _: &Technology, _: usize, t: f64| {
+        0.02 + 0.002 * s.activity * ((t - 300.0) / 12.0).exp2()
+    };
+    let sweep = engine.sweep(&grid, &gain_power, RunOptions::new());
     for (gain, outcome) in gains.iter().zip(&sweep.outcomes) {
         match outcome {
             SweepOutcome::Converged { .. } => println!(

@@ -131,7 +131,7 @@ fn fig9_10_extraction_pipeline() {
 /// runaway corners reported per scenario.
 #[test]
 fn sweep_engine_shape() {
-    use ptherm::model::cosim::sweep::{ScenarioGrid, ScenarioPowerModel, SweepEngine};
+    use ptherm::model::cosim::sweep::{RunOptions, ScenarioGrid, ScenarioPowerModel, SweepEngine};
     use ptherm::model::cosim::Workspace;
     use ptherm::model::ElectroThermalSolver;
     use ptherm::tech::ScalingTable;
@@ -150,7 +150,7 @@ fn sweep_engine_shape() {
         .ambients_k(vec![300.0, 330.0]);
     let engine = SweepEngine::new(Floorplan::paper_three_blocks());
     let model = engine.uniform_tech_power(0.5, 0.05);
-    let report = engine.run(&grid, &model);
+    let report = engine.sweep(&grid, &model, RunOptions::new());
     assert_eq!(report.len(), 16);
     assert_eq!(report.converged_count(), 16);
 

@@ -174,7 +174,7 @@ proptest! {
         leak_w in 0.005f64..0.1,
     ) {
         use ptherm::floorplan::{generator, ChipGeometry};
-        use ptherm::model::cosim::sweep::{ScenarioGrid, SweepEngine};
+        use ptherm::model::cosim::sweep::{RunOptions, ScenarioGrid, SweepEngine};
         use ptherm::model::SweepOutcome;
         use ptherm::tech::Technology;
 
@@ -186,7 +186,7 @@ proptest! {
             .ambients_k(vec![300.0, 340.0]);
         let engine = SweepEngine::new(plan).threads(2).batch_lanes(lanes);
         let model = engine.uniform_tech_power(dyn_w, leak_w).prepared_for(&grid);
-        let batched = engine.run(&grid, &model);
+        let batched = engine.sweep(&grid, &model, RunOptions::new());
         let oracle = engine.run_per_scenario(&grid, &model);
         prop_assert_eq!(batched.len(), oracle.len());
         for (b, o) in batched.outcomes.iter().zip(&oracle.outcomes) {

@@ -1,5 +1,5 @@
 //! Property validation of warm-started batched Picard
-//! ([`SweepEngine::warm_start`]) against the cold oracle: on randomized
+//! ([`RunOptions::warm_start`]) against the cold oracle: on randomized
 //! scenario grids with ascending axes, warm chaining must converge to
 //! the **same fixed points** (≤ 1e-9 K), classify every scenario with
 //! the **same outcome kind**, and spend **no more Picard iterations**
@@ -9,7 +9,10 @@
 
 use proptest::prelude::*;
 use ptherm::floorplan::{generator, ChipGeometry, Floorplan};
-use ptherm::model::cosim::{RunOptions, ScenarioGrid, SweepBackend, SweepEngine, SweepOutcome};
+use ptherm::model::cosim::sweep::ScenarioPowerModel;
+use ptherm::model::cosim::{
+    RunOptions, ScenarioGrid, SweepBackend, SweepEngine, SweepOutcome, SweepReport,
+};
 use ptherm::tech::Technology;
 
 fn plan() -> Floorplan {
@@ -19,15 +22,24 @@ fn plan() -> Floorplan {
 /// An engine with the Picard loop tightened far below the warm/cold
 /// agreement tolerance, so 1e-9 K disagreement would be a real bug,
 /// not truncation noise.
-fn engine(threads: usize, lanes: usize, warm: bool) -> SweepEngine {
+fn engine(threads: usize, lanes: usize) -> SweepEngine {
     SweepEngine::new(plan())
         .threads(threads)
         .batch_lanes(lanes)
-        .warm_start(warm)
         .configure(|s| {
             s.tolerance_k = 1e-10;
             s.max_iterations = 5000;
         })
+}
+
+/// One sweep, warm-started or cold.
+fn run<M: ScenarioPowerModel>(
+    engine: &SweepEngine,
+    grid: &ScenarioGrid,
+    model: &M,
+    warm: bool,
+) -> SweepReport {
+    engine.sweep(grid, model, RunOptions::new().warm_start(warm))
 }
 
 /// A sorted ascending axis: the monotone ordering the chain scheduler
@@ -85,10 +97,10 @@ proptest! {
         leakage_w in 0.005..0.05f64,
     ) {
         let grid = grid(vdd, act, amb);
-        let cold_engine = engine(2, 4, false);
-        let model = cold_engine.uniform_tech_power(dynamic_w, leakage_w);
-        let cold = cold_engine.run(&grid, &model);
-        let warm = engine(2, 4, true).run(&grid, &model);
+        let engine = engine(2, 4);
+        let model = engine.uniform_tech_power(dynamic_w, leakage_w);
+        let cold = run(&engine, &grid, &model, false);
+        let warm = run(&engine, &grid, &model, true);
         prop_assert_eq!(cold.len(), warm.len());
         for (id, (c, w)) in cold.outcomes.iter().zip(&warm.outcomes).enumerate() {
             prop_assert_eq!(kind(c), kind(w), "scenario {} kind diverged", id);
@@ -116,11 +128,11 @@ proptest! {
         dynamic_w in 0.05..0.4f64,
     ) {
         let grid = grid(vdd, vec![0.5, 1.0], vec![300.0, 320.0]);
-        let baseline_engine = engine(1, 1, true);
+        let baseline_engine = engine(1, 1);
         let model = baseline_engine.uniform_tech_power(dynamic_w, 0.02);
-        let baseline = baseline_engine.run(&grid, &model);
+        let baseline = run(&baseline_engine, &grid, &model, true);
         for (threads, lanes) in [(2, 4), (4, 2), (3, 8)] {
-            let other = engine(threads, lanes, true).run(&grid, &model);
+            let other = run(&engine(threads, lanes), &grid, &model, true);
             prop_assert_eq!(
                 &baseline.outcomes, &other.outcomes,
                 "threads {} x lanes {} diverged from serial", threads, lanes
@@ -140,10 +152,10 @@ proptest! {
     ) {
         let grid = grid(vdd, vec![1.0], vec![300.0, 325.0]);
         for backend in [SweepBackend::Dense, SweepBackend::Spectral] {
-            let cold_engine = engine(2, 4, false).backend(backend);
-            let model = cold_engine.uniform_tech_power(dynamic_w, 0.02);
-            let cold = cold_engine.run(&grid, &model);
-            let warm = engine(2, 4, true).backend(backend).run(&grid, &model);
+            let engine = engine(2, 4).backend(backend);
+            let model = engine.uniform_tech_power(dynamic_w, 0.02);
+            let cold = run(&engine, &grid, &model, false);
+            let warm = run(&engine, &grid, &model, true);
             for (id, (c, w)) in cold.outcomes.iter().zip(&warm.outcomes).enumerate() {
                 prop_assert_eq!(kind(c), kind(w), "scenario {} kind diverged", id);
                 if let (
@@ -161,21 +173,30 @@ proptest! {
     }
 }
 
-/// A per-call [`RunOptions::warm_start`] override beats the engine
-/// default in both directions, and forcing cold on a warm engine is
-/// bitwise the historical cold behaviour.
+/// The per-call [`RunOptions::warm_start`] switch is the only warm
+/// knob: `false` is bitwise the default cold sweep, and a warm call
+/// leaves the engine cold for the next default call.
 #[test]
 fn per_call_override_forces_cold_bitwise() {
     let grid = grid(vec![0.9, 1.0, 1.1, 1.2], vec![0.6, 1.0], vec![300.0]);
-    let cold_engine = engine(2, 4, false);
-    let model = cold_engine.uniform_tech_power(0.25, 0.02);
-    let cold = cold_engine.run(&grid, &model);
-    let warm_engine = engine(2, 4, true);
-    let forced_cold = warm_engine.sweep(&grid, &model, RunOptions::new().warm_start(false));
+    let shared = engine(2, 4);
+    let model = shared.uniform_tech_power(0.25, 0.02);
+    let cold = shared.sweep(&grid, &model, RunOptions::new());
+    let forced_cold = run(&shared, &grid, &model, false);
     assert_eq!(cold.outcomes, forced_cold.outcomes);
-    let forced_warm = cold_engine.sweep(&grid, &model, RunOptions::new().warm_start(true));
-    let warm = warm_engine.run(&grid, &model);
-    assert_eq!(warm.outcomes, forced_warm.outcomes);
+    let warm = run(&shared, &grid, &model, true);
+    assert_ne!(
+        warm.outcomes, cold.outcomes,
+        "warm chaining changes iteration counts"
+    );
+    assert_eq!(
+        warm.outcomes,
+        run(&engine(4, 2), &grid, &model, true).outcomes
+    );
+    assert_eq!(
+        cold.outcomes,
+        shared.sweep(&grid, &model, RunOptions::new()).outcomes
+    );
 }
 
 /// Warm chaining genuinely pays off on a monotone vdd fiber: strictly
@@ -188,13 +209,11 @@ fn warm_chains_cut_total_iterations_on_a_monotone_fiber() {
         vec![1.0],
         vec![300.0],
     );
-    let cold_engine = engine(1, 4, false);
-    let model = cold_engine.uniform_tech_power(0.4, 0.04);
-    let total = |report: &ptherm::model::cosim::SweepReport| {
-        report.outcomes.iter().filter_map(iterations).sum::<usize>()
-    };
-    let cold = cold_engine.run(&grid, &model);
-    let warm = engine(1, 4, true).run(&grid, &model);
+    let engine = engine(1, 4);
+    let model = engine.uniform_tech_power(0.4, 0.04);
+    let total = |report: &SweepReport| report.outcomes.iter().filter_map(iterations).sum::<usize>();
+    let cold = run(&engine, &grid, &model, false);
+    let warm = run(&engine, &grid, &model, true);
     assert_eq!(cold.converged_count(), grid.len(), "fiber fully converges");
     assert_eq!(warm.converged_count(), grid.len());
     assert!(
