@@ -550,6 +550,13 @@ impl RequestParser {
         self.line
     }
 
+    /// Counts a line the caller refused without parsing (the serve
+    /// reader's over-long and non-UTF-8 lines), so later errors keep
+    /// their line numbers.
+    pub fn skip_line(&mut self) {
+        self.line += 1;
+    }
+
     /// Looks up a floorplan defined earlier on this connection.
     pub fn floorplan(&self, name: &str) -> Option<&Arc<Floorplan>> {
         self.floorplans

@@ -3,8 +3,10 @@
 //! [`FleetServer`], exercising the serve-mode guarantees the module
 //! docs promise — batch/serve bitwise identity, graceful drain with
 //! zero lost jobs, typed backpressure refusals, line-isolated protocol
-//! errors, live stats, and cache persist/warm across restarts.
+//! errors, bounded request lines, live stats, cache persist/warm across
+//! restarts, and prompt whole-line result delivery.
 
+use ptherm_fleet::server::MAX_LINE_BYTES;
 use ptherm_fleet::{
     parse_jsonl, Fault, FaultPlan, FleetEngine, FleetEngineBuilder, FleetServer, Json, ServeConfig,
     ServeListener, ServeSummary,
@@ -13,6 +15,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
 
 /// A mixed request both floorplan kinds, every job kind — including a
 /// named steady base, a `delta` re-solve referencing it, an `envelope`
@@ -29,6 +32,18 @@ const MIXED_REQUEST: &str = r#"{"type": "floorplan", "name": "quad", "tiles": {"
 {"type": "delta", "base": "base", "vdd_scales": [0.95, 1.05]}
 {"type": "envelope", "floorplan": "quad", "dynamic_w": 0.0, "leakage_w": 0.0, "axis": "vdd_scale", "lo": 0.5, "hi": 1.5, "tolerance": 0.25}
 "#;
+
+const QUAD: &str = "{\"type\": \"floorplan\", \"name\": \"quad\", \"tiles\": \
+    {\"rows\": 2, \"cols\": 2, \"p_min\": 0.0, \"p_max\": 0.0, \"seed\": 7}}\n";
+
+/// A single-scenario steady job on `quad`; `dynamic_w` varies the
+/// result line so distinct jobs render distinct bytes.
+fn point_job(dynamic_w: f64) -> String {
+    format!(
+        "{{\"type\": \"steady\", \"floorplan\": \"quad\", \"dynamic_w\": {dynamic_w:?}, \
+         \"leakage_w\": 0.01, \"vdd_scales\": [1.0]}}\n"
+    )
+}
 
 fn engine(threads: usize) -> FleetEngine {
     FleetEngineBuilder::new()
@@ -55,8 +70,13 @@ fn start(engine: FleetEngine, config: ServeConfig) -> (SocketAddr, JoinHandle<Se
 /// One full client exchange: stream `request`, half-close the write
 /// side, collect every response line until the server closes.
 fn roundtrip(addr: SocketAddr, request: &str) -> Vec<String> {
+    roundtrip_bytes(addr, request.as_bytes())
+}
+
+/// [`roundtrip`] for a request that need not be valid UTF-8.
+fn roundtrip_bytes(addr: SocketAddr, request: &[u8]) -> Vec<String> {
     let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(request.as_bytes()).expect("send request");
+    stream.write_all(request).expect("send request");
     stream.shutdown(Shutdown::Write).expect("half-close");
     BufReader::new(stream)
         .lines()
@@ -424,4 +444,140 @@ fn manifest_round_trip_warms_a_restarted_server() {
         "restart is bitwise-invisible to clients"
     );
     let _ = std::fs::remove_file(&manifest);
+}
+
+/// Closed loop over one TCP connection with the client's default socket
+/// options: each job is sent only after the previous result line has
+/// arrived. A server that split a result line across two small writes
+/// would stall every round trip on the client's delayed ACK (~40 ms);
+/// whole-line writes on a `TCP_NODELAY` socket answer in well under a
+/// millisecond.
+#[test]
+fn closed_loop_round_trips_do_not_wait_on_delayed_acks() {
+    let (addr, handle) = start(engine(1), ServeConfig::default());
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("read half"));
+    stream.write_all(QUAD.as_bytes()).expect("send floorplan");
+
+    let mut round_trips = Vec::new();
+    let mut line = String::new();
+    for i in 0..20 {
+        let job = point_job(0.1 + 0.01 * f64::from(i));
+        let sent = Instant::now();
+        stream.write_all(job.as_bytes()).expect("send job");
+        line.clear();
+        reader.read_line(&mut line).expect("result line");
+        round_trips.push(sent.elapsed());
+        assert!(line.contains("\"ok\":true"), "job {i}: {line}");
+    }
+    round_trips.sort_unstable();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median round trip {median:?} (all: {round_trips:?})"
+    );
+
+    stream
+        .write_all(b"{\"type\": \"shutdown\"}\n")
+        .expect("send shutdown");
+    let _ = handle.join().expect("server thread");
+}
+
+/// 32 jobs arrive in one write on a connection that stays open, so
+/// result lines queue up behind each other and the writer coalesces
+/// them into shared socket writes: the client still reads exactly 32
+/// lines, each bitwise the batch line for its job — no line split or
+/// merged at a write boundary.
+#[test]
+fn coalesced_result_writes_keep_lines_whole() {
+    let jobs: String = (0..32).map(|i| point_job(0.05 * f64::from(i))).collect();
+    let request = format!("{QUAD}{jobs}");
+    let expected = batch_lines(&request, 2);
+    let (addr, handle) = start(engine(2), ServeConfig::default());
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("read half"));
+    stream.write_all(request.as_bytes()).expect("send request");
+    let lines: Vec<String> = (0..32)
+        .map(|_| {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("result line");
+            line.strip_suffix('\n')
+                .expect("newline-terminated")
+                .to_string()
+        })
+        .collect();
+    assert_eq!(served_in_job_order(&lines), expected);
+
+    stream
+        .write_all(b"{\"type\": \"shutdown\"}\n")
+        .expect("send shutdown");
+    let summary = handle.join().expect("server thread");
+    assert_eq!(stat(&summary, "jobs_ok"), 32.0);
+}
+
+/// A request line longer than `MAX_LINE_BYTES` is refused with a typed
+/// protocol line naming the cap, skipped through its newline, and the
+/// connection keeps serving the jobs behind it; the skipped line still
+/// counts toward the line numbers later errors report.
+#[test]
+fn over_long_request_lines_are_refused_and_skipped() {
+    let (addr, handle) = start(engine(1), ServeConfig::default());
+    let mut request = vec![b'x'; MAX_LINE_BYTES + 1024];
+    request.push(b'\n');
+    request.extend_from_slice(QUAD.as_bytes());
+    request.extend_from_slice(point_job(0.1).as_bytes());
+    request.extend_from_slice(b"not json\n");
+    let lines = roundtrip_bytes(addr, &request);
+
+    // Refusals come from the reader in line order; the result line
+    // races the last refusal.
+    let (refusals, results): (Vec<&String>, Vec<&String>) =
+        lines.iter().partition(|l| l.contains("\"refused\":"));
+    assert_eq!(refusals.len(), 2, "two refusals: {lines:?}");
+    let refusal = Json::parse(refusals[0]).expect("refusal json");
+    assert_eq!(
+        refusal.get("refused").and_then(Json::as_str),
+        Some("protocol")
+    );
+    assert_eq!(
+        refusal.get("error").and_then(Json::as_str),
+        Some(format!("line exceeds {MAX_LINE_BYTES} bytes").as_str())
+    );
+    assert!(
+        refusals[1].contains("\"error\":\"line 4: "),
+        "the skipped line is line 1: {}",
+        refusals[1]
+    );
+    assert_eq!(results.len(), 1, "the job still ran: {lines:?}");
+    assert!(results[0].contains("\"ok\":true"), "{}", results[0]);
+    assert_eq!(job_index(results[0]), Some(0));
+
+    let _ = roundtrip(addr, "{\"type\": \"shutdown\"}\n");
+    let summary = handle.join().expect("server thread");
+    assert_eq!(stat(&summary, "refused_protocol"), 2.0);
+    assert_eq!(stat(&summary, "jobs_ok"), 1.0);
+}
+
+/// A request line that is not valid UTF-8 gets a typed protocol refusal
+/// instead of closing the connection.
+#[test]
+fn invalid_utf8_request_lines_are_refused_not_fatal() {
+    let (addr, handle) = start(engine(1), ServeConfig::default());
+    let mut request = b"{\"type\": \"steady\", \"floorplan\": \"\xff\xfe\"}\n".to_vec();
+    request.extend_from_slice(QUAD.as_bytes());
+    request.extend_from_slice(point_job(0.1).as_bytes());
+    let lines = roundtrip_bytes(addr, &request);
+
+    assert_eq!(lines.len(), 2, "one refusal, one result: {lines:?}");
+    assert!(
+        lines[0].contains("\"refused\":\"protocol\"") && lines[0].contains("not valid UTF-8"),
+        "typed UTF-8 refusal: {}",
+        lines[0]
+    );
+    assert!(lines[1].contains("\"ok\":true"), "job still ran: {lines:?}");
+
+    let _ = roundtrip(addr, "{\"type\": \"shutdown\"}\n");
+    let summary = handle.join().expect("server thread");
+    assert_eq!(stat(&summary, "refused_protocol"), 1.0);
 }
