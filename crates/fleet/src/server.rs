@@ -30,12 +30,10 @@
 //!   connection's writer thread; result lines stream back as jobs
 //!   complete (tagged `"job": n` in per-connection admission order,
 //!   matching the line numbering a batch run of the same request would
-//!   use). The writer blocks for one line, drains every other line
-//!   already waiting (up to 64 KiB) into one reused buffer, and puts
-//!   the batch on the socket in a single `write_all`. TCP connections
-//!   are accepted with `TCP_NODELAY`, so no line waits for the
-//!   client's delayed ACK (Nagle would otherwise hold a small second
-//!   segment for ~40 ms).
+//!   use). The writer puts each line and its newline on the socket
+//!   in a single `write_all`, and TCP connections are accepted with
+//!   `TCP_NODELAY`, so no line waits for the client's delayed ACK
+//!   (Nagle would otherwise hold a small second segment for ~40 ms).
 //! * **Connections** — a registry keyed by connection id holds one
 //!   clone of each live socket for the drain-time read nudge; a
 //!   connection's reader removes its entry when it finishes, so closed
@@ -81,11 +79,6 @@ use std::time::Duration;
 /// How often blocking-free loops (accept, drain supervisor) re-check
 /// the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(10);
-
-/// The writer stops draining queued result lines into one socket write
-/// once its buffer passes this many bytes, so a burst of results never
-/// grows the buffer without bound.
-const WRITE_BATCH_BYTES: usize = 64 * 1024;
 
 /// The longest request line the reader accepts, newline excluded.
 /// Longer lines are refused with a typed protocol line and skipped.
@@ -470,32 +463,18 @@ fn spawn_connection<'scope, 'env>(
 
 /// Streams the connection's output lines until every reply handle —
 /// the reader's own and one per in-flight job — is gone and the
-/// channel is drained, then closes the socket for good. Each write
-/// carries the line it woke for plus every line already queued behind
-/// it, up to [`WRITE_BATCH_BYTES`].
+/// channel is drained, then closes the socket for good. Each line goes
+/// out with its newline in one write, so no trailing 1-byte segment
+/// waits on the client's delayed ACK.
 fn writer_loop(mut conn: Conn, rx: mpsc::Receiver<String>, shared: &Shared<'_>) {
-    let mut batch = Vec::new();
-    while let Ok(line) = rx.recv() {
-        batch.clear();
-        push_line(&mut batch, &line);
-        while batch.len() < WRITE_BATCH_BYTES {
-            let Ok(line) = rx.try_recv() else { break };
-            push_line(&mut batch, &line);
-        }
-        if conn.write_all(&batch).is_err() {
+    for mut line in rx {
+        line.push('\n');
+        if conn.write_all(line.as_bytes()).is_err() {
             break;
         }
-        // A single huge line may have grown the buffer past the cap;
-        // give that memory back rather than hold it for the connection.
-        batch.shrink_to(WRITE_BATCH_BYTES);
     }
     let _ = conn.shutdown(Shutdown::Both);
     shared.metrics.connection_closed();
-}
-
-fn push_line(batch: &mut Vec<u8>, line: &str) {
-    batch.extend_from_slice(line.as_bytes());
-    batch.push(b'\n');
 }
 
 /// Parses the connection's request lines and admits jobs into the

@@ -484,12 +484,11 @@ fn closed_loop_round_trips_do_not_wait_on_delayed_acks() {
 }
 
 /// 32 jobs arrive in one write on a connection that stays open, so
-/// result lines queue up behind each other and the writer coalesces
-/// them into shared socket writes: the client still reads exactly 32
-/// lines, each bitwise the batch line for its job — no line split or
-/// merged at a write boundary.
+/// result lines queue up behind each other at the writer: the client
+/// still reads exactly 32 lines, each bitwise the batch line for its
+/// job — no line split or merged at a write boundary.
 #[test]
-fn coalesced_result_writes_keep_lines_whole() {
+fn pipelined_result_lines_stay_whole() {
     let jobs: String = (0..32).map(|i| point_job(0.05 * f64::from(i))).collect();
     let request = format!("{QUAD}{jobs}");
     let expected = batch_lines(&request, 2);
