@@ -5,7 +5,7 @@
 //!
 //! * **serve** — `fleet --jobs <path|->`: parse a JSONL request
 //!   (`ptherm_fleet::jobs` schema, documented in
-//!   `docs/ARCHITECTURE.md`), run it on the work-stealing fleet engine
+//!   `docs/ARCHITECTURE.md`), run it on the fleet engine's worker pool
 //!   and print one JSON result line per job to stdout (stdout carries
 //!   *only* result lines; diagnostics go to stderr). Flags: `--threads
 //!   N`, `--cache-capacity N`.
@@ -25,7 +25,6 @@ use ptherm_fleet::{
     JobSpec, SteadyJob, TransientJob,
 };
 use ptherm_floorplan::{generator, ChipGeometry, Floorplan};
-use ptherm_par::steal::StealQueues;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -129,11 +128,10 @@ fn serve(args: &[String]) -> i32 {
         .map(|(name, s)| format!("{name} cache {}h/{}m/{}e", s.hits, s.misses, s.evictions))
         .collect();
     eprintln!(
-        "fleet: {} jobs, {} ok; {}, {} steals",
+        "fleet: {} jobs, {} ok; {}",
         fleet_report.jobs.len(),
         fleet_report.ok_count(),
         caches.join(", "),
-        fleet_report.steals,
     );
     // Final stderr line is machine-readable: one JSON object an
     // operator's supervisor can parse without touching stdout (which
@@ -515,8 +513,8 @@ fn build_engine(floorplans: &[(String, Floorplan)], threads: usize) -> FleetEngi
 }
 
 /// The factor-per-job baseline: every job runs on a fresh engine, so
-/// it builds its own operators, and `threads` workers claim jobs off
-/// the same work-stealing queues a fleet engine uses. Returns the
+/// it builds its own operators, and `threads` workers claim jobs the
+/// way a fleet engine's do ([`ptherm_par::par_map`]). Returns the
 /// records in submission order and the summed steady and transient
 /// cache counters of the per-job engines.
 fn run_cold(
@@ -528,27 +526,21 @@ fn run_cold(
         .iter()
         .map(|(name, plan)| (name.as_str(), Arc::new(plan.clone())))
         .collect();
-    let workers = threads.clamp(1, jobs.len().max(1));
-    let queues = StealQueues::split(workers, jobs.len());
-    let per_worker = ptherm_par::par_workers(workers, |w| {
-        let mut mine = Vec::new();
-        while let Some(index) = queues.pop(w) {
-            let engine = FleetEngineBuilder::new()
-                .threads(1)
-                .build()
-                .expect("valid bench configuration");
-            let record = engine.run_resolved(&jobs[index], &plans[jobs[index].floorplan()], index);
-            mine.push((
-                record,
-                engine.cache().steady_stats(),
-                engine.cache().transient_stats(),
-            ));
-        }
-        mine
+    let runs = ptherm_par::par_map(threads, jobs, |index, spec| {
+        let engine = FleetEngineBuilder::new()
+            .threads(1)
+            .build()
+            .expect("valid bench configuration");
+        let record = engine.run_resolved(spec, &plans[spec.floorplan()], index);
+        (
+            record,
+            engine.cache().steady_stats(),
+            engine.cache().transient_stats(),
+        )
     });
     let (mut steady, mut transient) = (CacheStats::default(), CacheStats::default());
     let mut records = Vec::with_capacity(jobs.len());
-    for (record, s, t) in per_worker.into_iter().flatten() {
+    for (record, s, t) in runs {
         for (sum, add) in [(&mut steady, s), (&mut transient, t)] {
             sum.hits += add.hits;
             sum.misses += add.misses;
@@ -556,7 +548,6 @@ fn run_cold(
         }
         records.push(record);
     }
-    records.sort_by_key(|r| r.index);
     (records, steady, transient)
 }
 
@@ -688,14 +679,13 @@ fn bench(quick: bool) -> i32 {
     ]);
     println!("{}", out.render());
     println!(
-        "steady cache: {} hits / {} misses / {} evictions; transient cache: {} / {} / {}; {} steals",
+        "steady cache: {} hits / {} misses / {} evictions; transient cache: {} / {} / {}",
         steady_stats.hits,
         steady_stats.misses,
         steady_stats.evictions,
         transient_stats.hits,
         transient_stats.misses,
         transient_stats.evictions,
-        amortized.steals,
     );
 
     // --- BENCH_fleet.json -------------------------------------------------
@@ -726,7 +716,6 @@ fn bench(quick: bool) -> i32 {
         .integer("transient_cache_hits", transient_stats.hits)
         .integer("transient_cache_misses", transient_stats.misses)
         .integer("transient_cache_evictions", transient_stats.evictions)
-        .integer("steals", amortized.steals)
         .number("max_temp_gap_vs_cold_k", gap);
     let default_path = if quick {
         "BENCH_fleet.quick.json"

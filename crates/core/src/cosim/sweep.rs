@@ -50,7 +50,7 @@ use crate::cosim::spectral::{
 };
 use crate::cosim::transient::{
     TransientBatchedSolver, TransientConfig, TransientError, TransientLane, TransientOperator,
-    TransientOutcome, TransientReport, TransientRk4Reference, TransientWorkspace,
+    TransientReport, TransientRk4Reference, TransientWorkspace,
 };
 use crate::cosim::{CosimError, ElectroThermalSolver, ThermalOperator, Workspace};
 use crate::thermal::capacitance::silicon_block_capacitances;
@@ -1873,7 +1873,8 @@ impl SweepEngine {
     ///
     /// * `cancel` — checkpointed once per time step. Lanes in flight
     ///   when the token fires retire as
-    ///   [`TransientOutcome::Cancelled`] at the step they reached;
+    ///   [`TransientOutcome::Cancelled`](crate::cosim::transient::TransientOutcome::Cancelled)
+    ///   at the step they reached;
     ///   chunks claimed after it fires retire immediately at step 0. A
     ///   token that never fires leaves results bitwise identical to an
     ///   uncancelled run.
@@ -1954,18 +1955,18 @@ impl SweepEngine {
         let sink_k = self.solver.floorplan().geometry().sink_temperature;
         let total = grid.len() * w;
         let width = self.batch_lanes.max(1);
-        let chunks = total.div_ceil(width);
-        let cursor = AtomicUsize::new(0);
+        let chunks: Vec<usize> = (0..total.div_ceil(width)).collect();
         let solver = TransientBatchedSolver::new(top, self.solver.ceiling_k);
-        let per_worker = ptherm_par::par_workers(self.threads, |_worker| {
-            let mut model = model.batched(grid, sink_k, width);
-            let mut ws = TransientWorkspace::new();
-            let mut collected: Vec<(usize, Vec<TransientOutcome>)> = Vec::new();
-            loop {
-                let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-                if chunk >= chunks {
-                    break;
-                }
+        let per_chunk = ptherm_par::par_map_with(
+            self.threads,
+            &chunks,
+            || {
+                (
+                    model.batched(grid, sink_k, width),
+                    TransientWorkspace::new(),
+                )
+            },
+            |(model, ws), _, &chunk| {
                 let start = chunk * width;
                 let end = (start + width).min(total);
                 let lanes: Vec<TransientLane<'_>> = (start..end)
@@ -1977,31 +1978,19 @@ impl SweepEngine {
                 for (lane, id) in (start..end).enumerate() {
                     model.begin_lane(lane, id / w);
                 }
-                let outcomes = solver.solve_chunk(
+                solver.solve_chunk(
                     width,
                     &lanes,
-                    &mut *model,
-                    &mut ws,
+                    &mut **model,
+                    ws,
                     cfg.steps,
                     cfg.record_stride,
                     cancel,
-                );
-                collected.push((start, outcomes));
-            }
-            collected
-        });
-        let mut outcomes: Vec<Option<TransientOutcome>> = (0..total).map(|_| None).collect();
-        for (start, chunk) in per_worker.into_iter().flatten() {
-            for (offset, outcome) in chunk.into_iter().enumerate() {
-                outcomes[start + offset] = Some(outcome);
-            }
-        }
+                )
+            },
+        );
         Ok(TransientReport {
-            outcomes: outcomes
-                .into_iter()
-                // lint:allow(panic-freedom) — worker chunks partition 0..total: every slot was filled exactly once above
-                .map(|o| o.expect("every transient resolved"))
-                .collect(),
+            outcomes: per_chunk.into_iter().flatten().collect(),
             waveform_count: w,
         })
     }

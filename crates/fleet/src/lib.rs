@@ -11,10 +11,10 @@
 //!   for thermal operators and transient propagators, so the dominant
 //!   per-job cold cost (assembly + factorization) is paid once per
 //!   distinct floorplan, not once per job;
-//! * [`engine`] — [`FleetEngine`]: a work-stealing scheduler
-//!   ([`ptherm_par::steal`]) running a mixed job queue over the shared
-//!   cache, with results bitwise independent of worker count, steal
-//!   pattern and cache state;
+//! * [`engine`] — [`FleetEngine`]: a shared-cursor worker pool
+//!   ([`ptherm_par::par_map`]) running a mixed job queue over the
+//!   shared cache, with results bitwise independent of worker count,
+//!   claim order and cache state;
 //! * [`faults`] — deterministic fault injection ([`FaultPlan`]) for
 //!   chaos-testing the engine's panic isolation, retry budgets and
 //!   cache-poisoning recovery;

@@ -5,9 +5,8 @@
 //! request, runs it, exits. This module keeps the engine — and, more
 //! importantly, its warmed operator caches — alive across requests:
 //! clients connect over TCP (or a Unix socket), stream JSONL job lines,
-//! and read JSONL result lines back on the same connection, while the
-//! engine's work-stealing workers serve every connection off one shared
-//! cache.
+//! and read JSONL result lines back on the same connection, while one
+//! pool of engine workers serves every connection off one shared cache.
 //!
 //! Design, front to back:
 //!
@@ -19,9 +18,9 @@
 //!   table — two connections may both define `"chip"` without
 //!   colliding, and a served job takes the exact solve path (and bit
 //!   pattern) of the same job in a batch run.
-//! * **Scheduling** — admitted jobs push into a *bounded*
-//!   [`StealQueues`] in streaming mode; the engine's workers
-//!   `pop_wait` and steal exactly as in batch mode.
+//! * **Scheduling** — every connection's admitted jobs push into one
+//!   *bounded* FIFO ([`BoundedQueue`]); `FleetConfig::threads` workers
+//!   block in `pop_wait` and run jobs in admission order.
 //! * **Backpressure** — when the queue is at capacity the job is
 //!   refused at admission with a typed `"refused": "backpressure"`
 //!   line naming the depth, rather than buffered without bound. The
@@ -64,7 +63,7 @@ use crate::json::Json;
 use crate::metrics::ServeMetrics;
 use crate::persist::{self, WarmReport};
 use ptherm_floorplan::Floorplan;
-use ptherm_par::steal::{PushError, StealQueues};
+use ptherm_par::queue::{BoundedQueue, PushError};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -90,7 +89,7 @@ pub const MAX_LINE_BYTES: usize = 4 * 1024 * 1024;
 pub struct ServeConfig {
     /// Admission bound: jobs queued but not yet claimed by a worker.
     /// At capacity, new jobs are refused with a typed backpressure
-    /// line instead of buffered.
+    /// line instead of buffered. A capacity of 0 refuses every job.
     pub queue_capacity: usize,
     /// Cache manifest to warm from at startup and save on drain
     /// (`None`: no persistence).
@@ -237,7 +236,7 @@ pub struct ServeSummary {
 /// Everything the per-connection and worker threads share.
 struct Shared<'e> {
     engine: &'e FleetEngine,
-    queue: StealQueues<Admitted>,
+    queue: BoundedQueue<Admitted>,
     metrics: &'e ServeMetrics,
     shutdown: &'e AtomicBool,
     /// Read-half clones of every live connection, keyed by connection
@@ -323,7 +322,7 @@ impl FleetServer {
         let workers = self.engine.config().threads.max(1);
         let shared = Shared {
             engine: &self.engine,
-            queue: StealQueues::bounded(workers, self.config.queue_capacity),
+            queue: BoundedQueue::new(self.config.queue_capacity),
             metrics: &self.metrics,
             shutdown: &self.shutdown,
             conns: Mutex::new(BTreeMap::new()),
@@ -333,9 +332,9 @@ impl FleetServer {
             listener.set_nonblocking(true)?;
         }
         thread::scope(|scope| {
-            for w in 0..workers {
+            for _ in 0..workers {
                 let shared = &shared;
-                scope.spawn(move || worker_loop(w, shared));
+                scope.spawn(move || worker_loop(shared));
             }
             for listener in listeners {
                 let shared = &shared;
@@ -394,11 +393,11 @@ impl FleetServer {
     }
 }
 
-/// Claims admitted jobs (own queue first, then steals) until the queue
-/// is closed *and* drained, running each with its admission-time
-/// floorplan and streaming the result line back to its connection.
-fn worker_loop(worker: usize, shared: &Shared<'_>) {
-    while let Some(job) = shared.queue.pop_wait(worker) {
+/// Claims admitted jobs in admission order until the queue is closed
+/// *and* drained, running each with its admission-time floorplan and
+/// streaming the result line back to its connection.
+fn worker_loop(shared: &Shared<'_>) {
+    while let Some(job) = shared.queue.pop_wait() {
         let record = shared.engine.run_resolved(&job.spec, &job.plan, job.seq);
         shared.metrics.job_done(&record);
         let line = record.to_json(&job.spec).render();

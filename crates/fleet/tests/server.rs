@@ -287,6 +287,40 @@ fn backpressure_refuses_at_capacity_with_a_typed_line() {
     assert_eq!(stat(&summary, "queue_capacity"), 1.0);
 }
 
+/// A zero-capacity queue is a valid library configuration: it refuses
+/// every job with a typed backpressure line and still shuts down
+/// cleanly, rather than aborting the serve scope.
+#[test]
+fn zero_capacity_refuses_every_job_and_shuts_down_cleanly() {
+    let config = ServeConfig {
+        queue_capacity: 0,
+        ..ServeConfig::default()
+    };
+    let (addr, handle) = start(engine(2), config);
+
+    let request = format!("{QUAD}{}{{\"type\": \"shutdown\"}}\n", point_job(0.1));
+    let lines = roundtrip(addr, &request);
+    let refused: Vec<&String> = lines
+        .iter()
+        .filter(|l| l.contains("\"refused\":\"backpressure\""))
+        .collect();
+    assert_eq!(refused.len(), 1, "one refusal line: {lines:?}");
+    assert!(
+        refused[0].contains("queue full (depth 0/0)"),
+        "refusal names the zero bound: {}",
+        refused[0]
+    );
+    assert!(
+        !lines.iter().any(|l| l.contains("\"ok\":")),
+        "no job may run: {lines:?}"
+    );
+
+    let summary = handle.join().expect("server thread");
+    assert_eq!(stat(&summary, "jobs_admitted"), 0.0);
+    assert_eq!(stat(&summary, "refused_backpressure"), 1.0);
+    assert_eq!(stat(&summary, "queue_capacity"), 0.0);
+}
+
 /// Serve-mode protocol errors are line-isolated: malformed JSON and an
 /// unknown protocol version each yield a typed refusal line, and the
 /// connection keeps serving the valid jobs around them (batch mode, by

@@ -7,14 +7,19 @@
 //! top of `std::thread::scope` cover them:
 //!
 //! * [`par_map`] / [`par_map_with`] — parallel indexed map with dynamic
-//!   (work-stealing-style) assignment, so uneven items (e.g. runaway
-//!   scenarios that bail early next to slow-converging ones) do not
-//!   leave threads idle, plus optional per-worker state;
+//!   assignment (workers claim the next index from one shared cursor),
+//!   so uneven items (e.g. runaway scenarios that bail early next to
+//!   slow-converging ones) do not leave threads idle, plus optional
+//!   per-worker state;
 //! * [`par_workers`] — raw scoped workers for self-scheduling loops (the
 //!   batched sweep pulls scenario indices from a shared atomic counter);
 //! * [`par_partition_mut`] — splits one `&mut [T]` into contiguous
 //!   unit-aligned pieces, one per worker, for filling disjoint rows of a
 //!   matrix in place.
+//!
+//! For streams whose items arrive while workers run (the fleet server's
+//! socket admissions), [`queue::BoundedQueue`] is a bounded FIFO with
+//! blocking claims and typed backpressure refusals.
 //!
 //! In an environment with crates.io access this is the role `rayon` would
 //! play; the API is deliberately small so swapping it out stays easy.
@@ -35,7 +40,7 @@
 //! ```
 
 pub mod cancel;
-pub mod steal;
+pub mod queue;
 
 pub use cancel::CancelToken;
 
